@@ -27,13 +27,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/drivers.h"
 #include "crypto/drbg.h"
 #include "crypto/exp_counter.h"
 #include "secure/ka_module.h"
@@ -294,31 +293,6 @@ std::vector<std::uint64_t> sizes_from_env() {
   return {50, 500};
 }
 
-/// Finds `"key": <number>` after the first occurrence of `"section"` in a
-/// JSON text this binary itself wrote (same anchor style as
-/// bench_parallel_rekey — not a general parser).
-bool find_number(const std::string& text, const std::string& section, const std::string& key,
-                 double* out) {
-  const auto s = text.find("\"" + section + "\"");
-  if (s == std::string::npos) return false;
-  const auto k = text.find("\"" + key + "\"", s);
-  if (k == std::string::npos) return false;
-  const auto colon = text.find(':', k);
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
-void check_band(const std::string& base, const std::string& section, const std::string& key,
-                double measured) {
-  double want = 0;
-  if (!find_number(base, section, key, &want))
-    die("baseline missing " + section + "." + key);
-  if (want <= 0 || std::abs(measured - want) / want > 0.10)
-    die(section + "." + key + " drifted: recorded " + std::to_string(want) + ", measured " +
-        std::to_string(measured));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -391,20 +365,17 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline.empty()) {
-    std::ifstream in(baseline);
-    if (!in) die("cannot read baseline " + baseline);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string base = ss.str();
+    bench::Baseline base(baseline);
     for (const std::string& m : modules) {
       for (std::size_t k = 0; k < sizes.size(); ++k) {
         const std::string section = m + "_n" + std::to_string(sizes[k]);
-        check_band(base, section, "join_max_exps",
-                   static_cast<double>(results[m][k].join.max_member_exps));
-        check_band(base, section, "leave_max_exps",
-                   static_cast<double>(results[m][k].leave.max_member_exps));
+        base.within(section, "join_max_exps",
+                    static_cast<double>(results[m][k].join.max_member_exps), 0.10);
+        base.within(section, "leave_max_exps",
+                    static_cast<double>(results[m][k].leave.max_member_exps), 0.10);
       }
     }
+    if (!base.ok()) die("baseline " + baseline + " not matched");
     std::fprintf(stderr, "baseline %s: within tolerance\n", baseline.c_str());
   }
 

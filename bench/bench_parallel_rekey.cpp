@@ -35,14 +35,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/drivers.h"
 #include "cliques/key_directory.h"
 #include "crypto/dh.h"
 #include "crypto/exp_counter.h"
@@ -267,45 +266,15 @@ struct ModuleResult {
   double speedup() const { return serial.wave_ms / offloaded.wave_ms; }
 };
 
-/// Finds `"key": <number>` after the first occurrence of `"section"` in a
-/// JSON text this binary itself wrote. Not a general parser — a trajectory
-/// anchor against a file whose shape we control.
-bool find_number(const std::string& text, const std::string& section, const std::string& key,
-                 double* out) {
-  const auto s = text.find("\"" + section + "\"");
-  if (s == std::string::npos) return false;
-  const auto k = text.find("\"" + key + "\"", s);
-  if (k == std::string::npos) return false;
-  const auto colon = text.find(':', k);
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 void compare_with_baseline(const std::string& path, const std::vector<ModuleResult>& mods) {
-  std::ifstream in(path);
-  if (!in) die("cannot read baseline " + path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string base = ss.str();
+  bench::Baseline base(path);
   for (const ModuleResult& m : mods) {
-    double want_exps = 0;
-    if (!find_number(base, m.module, "exps_per_rekey", &want_exps))
-      die("baseline missing " + m.module + ".exps_per_rekey");
-    const double got_exps = m.exps_per_rekey();
-    if (want_exps <= 0 || std::abs(got_exps - want_exps) / want_exps > 0.10)
-      die(m.module + ": exps_per_rekey drifted: recorded " + std::to_string(want_exps) +
-          ", measured " + std::to_string(got_exps));
-    double want_lat = 0;
-    if (!find_number(base, m.module, "single_rekey_ms", &want_lat))
-      die("baseline missing " + m.module + ".single_rekey_ms");
+    base.within(m.module, "exps_per_rekey", m.exps_per_rekey(), 0.10);
     // Wall latency varies across machines; only order-of-magnitude drift
     // (x30) fails — enough to catch a rekey path gone accidentally quadratic.
-    if (m.serial.single_rekey_ms > want_lat * 30.0)
-      die(m.module + ": serial rekey latency blew past the recorded baseline: recorded " +
-          std::to_string(want_lat) + " ms, measured " +
-          std::to_string(m.serial.single_rekey_ms) + " ms");
+    base.at_most(m.module, "single_rekey_ms", m.serial.single_rekey_ms, 30.0);
   }
+  if (!base.ok()) die("baseline " + path + " not matched");
   std::fprintf(stderr, "baseline %s: within tolerance\n", path.c_str());
 }
 

@@ -2,14 +2,18 @@
 // Cliques / CKD contexts with message plumbing, per-role exponentiation
 // tallies and CPU timing. These measure pure key-agreement cost (Tables 2-4,
 // Figure 4); the full-stack harness for Figure 3 lives in
-// bench_fig3_membership_time.cpp.
+// bench_fig3_membership_time.cpp. Also the `--baseline` comparator of the
+// benches that record a BENCH_*.json.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -311,5 +315,71 @@ inline const DhGroup& bench_dh() {
   const char* env = std::getenv("SS_BENCH_GROUP");
   return DhGroup::by_name(env != nullptr ? env : "ss512");
 }
+
+/// `--baseline FILE`: compares measurements with a BENCH_*.json the bench
+/// wrote earlier. A record is the number after `"key":` following the first
+/// `"section"` in the file: an anchor for files whose shape the bench
+/// controls, not a general JSON parser. Every failed check is printed to
+/// stderr; ok() reports whether all of them held.
+class Baseline {
+ public:
+  explicit Baseline(const std::string& path) : path_(path) {
+    std::ifstream in(path);
+    if (!in) {
+      fail("cannot read the file");
+      return;
+    }
+    std::stringstream text;
+    text << in.rdbuf();
+    text_ = text.str();
+  }
+
+  /// Exactly the record (counters of a deterministic run).
+  void equal(const std::string& section, const std::string& key, double measured) {
+    check(section, key, measured, [](double want, double got) { return got == want; });
+  }
+  /// Within ±`band` of a positive record (0.10 = ±10%).
+  void within(const std::string& section, const std::string& key, double measured,
+              double band) {
+    check(section, key, measured, [band](double want, double got) {
+      return want > 0 && std::abs(got - want) / want <= band;
+    });
+  }
+  /// At most `factor` times the record (a loose bound for wall-clock time).
+  void at_most(const std::string& section, const std::string& key, double measured,
+               double factor) {
+    check(section, key, measured,
+          [factor](double want, double got) { return got <= want * factor; });
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  template <typename Holds>
+  void check(const std::string& section, const std::string& key, double measured,
+             Holds holds) {
+    const auto s = text_.find("\"" + section + "\"");
+    const auto k = s == std::string::npos ? s : text_.find("\"" + key + "\"", s);
+    const auto colon = k == std::string::npos ? k : text_.find(':', k);
+    if (colon == std::string::npos) {
+      fail("missing " + section + "." + key);
+      return;
+    }
+    const double want = std::strtod(text_.c_str() + colon + 1, nullptr);
+    if (!holds(want, measured)) {
+      fail(section + "." + key + " drifted: recorded " + std::to_string(want) +
+           ", measured " + std::to_string(measured));
+    }
+  }
+
+  void fail(const std::string& msg) {
+    std::fprintf(stderr, "baseline %s: %s\n", path_.c_str(), msg.c_str());
+    ok_ = false;
+  }
+
+  std::string path_;
+  std::string text_;
+  bool ok_ = true;
+};
 
 }  // namespace ss::bench

@@ -1,7 +1,6 @@
 #include "flush/flush.h"
 
 #include "gcs/trace.h"
-#include "obs/metrics.h"
 #include "util/serial.h"
 
 namespace ss::flush {
@@ -34,7 +33,8 @@ Unwrapped unwrap_data(const util::SharedBytes& raw) {
 
 }  // namespace
 
-FlushMailbox::FlushMailbox(gcs::Daemon& daemon) : mbox_(daemon) {
+FlushMailbox::FlushMailbox(gcs::Daemon& daemon)
+    : mbox_(daemon), rounds_completed_("flush.rounds_completed", {{"member", id().to_string()}}) {
   mbox_.on_view([this](const gcs::GroupView& v) { handle_raw_view(v); });
   mbox_.on_message([this](const gcs::Message& m) { handle_raw_message(m); });
   mbox_.on_transitional([this](const gcs::GroupName& g) {
@@ -197,9 +197,7 @@ void FlushMailbox::maybe_install(const gcs::GroupName& group) {
   }
   st.is_flushing = false;
   st.round_span.end({{"members", st.pending.members.size()}});
-  obs::MetricsRegistry::current()
-      .counter("flush.rounds_completed", {{"member", mbox_.id().to_string()}})
-      .inc();
+  rounds_completed_.inc();
   st.has_view = true;
   st.current = st.pending;
   st.oks.clear();

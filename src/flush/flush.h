@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "gcs/mailbox.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ss::flush {
@@ -114,6 +115,7 @@ class FlushMailbox {
   ViewFn on_view_;
   FlushRequestFn on_flush_request_;
   TransitionalFn on_transitional_;
+  obs::Counter rounds_completed_;  // flush.rounds_completed{member=<id>}
 };
 
 }  // namespace ss::flush

@@ -18,7 +18,11 @@ Daemon::Daemon(const runtime::Env& env, std::vector<DaemonId> configured, Timing
       configured_(std::move(configured)),
       timing_(timing),
       rng_(seed ^ (static_cast<std::uint64_t>(self_) << 32)),
-      key_store_(key_store) {
+      key_store_(key_store),
+      counters_({{"daemon", std::to_string(self_)}}),
+      delivery_latency_us_(obs::MetricsRegistry::current().histogram(
+          "gcs.delivery.latency_us", obs::latency_buckets_us(),
+          {{"daemon", std::to_string(self_)}})) {
   std::sort(configured_.begin(), configured_.end());
 }
 
@@ -91,9 +95,9 @@ void Daemon::crash() {
 std::string Daemon::debug_state() const {
   std::string out = "state=" + std::to_string(static_cast<int>(state_)) +
                     " view=" + view_id_.to_string() +
-                    " delivered=" + std::to_string(stats_.messages_delivered) +
-                    " gathers=" + std::to_string(stats_.gathers_started) +
-                    " installs=" + std::to_string(stats_.views_installed);
+                    " delivered=" + std::to_string(counters_.messages_delivered.value()) +
+                    " gathers=" + std::to_string(counters_.gathers_started.value()) +
+                    " installs=" + std::to_string(counters_.views_installed.value());
   const auto it = contexts_.find(view_id_);
   if (it != contexts_.end()) {
     const ViewContext& ctx = it->second;
@@ -114,21 +118,23 @@ std::string Daemon::debug_state() const {
   return out;
 }
 
-Daemon::ObsHandles& Daemon::obs_handles() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
-  if (obs_.generation != reg.generation()) {
-    const obs::Labels labels{{"daemon", std::to_string(self_)}};
-    obs_.generation = reg.generation();
-    obs_.views_installed = &reg.counter("gcs.daemon.views_installed", labels);
-    obs_.gathers_started = &reg.counter("gcs.daemon.gathers_started", labels);
-    obs_.messages_delivered = &reg.counter("gcs.daemon.messages_delivered", labels);
-    obs_.control_changes = &reg.counter("gcs.daemon.control_changes", labels);
-    obs_.recovered_messages = &reg.counter("gcs.daemon.recovered_messages", labels);
-    obs_.retrans_served = &reg.counter("gcs.daemon.retrans_served", labels);
-    obs_.delivery_latency_us =
-        &reg.histogram("gcs.delivery.latency_us", obs::latency_buckets_us(), labels);
-  }
-  return obs_;
+Daemon::Counters::Counters(const obs::Labels& labels)
+    : views_installed("gcs.daemon.views_installed", labels),
+      gathers_started("gcs.daemon.gathers_started", labels),
+      messages_delivered("gcs.daemon.messages_delivered", labels),
+      control_changes("gcs.daemon.control_changes", labels),
+      recovered_messages("gcs.daemon.recovered_messages", labels),
+      retrans_served("gcs.daemon.retrans_served", labels) {}
+
+DaemonStats Daemon::stats() const {
+  DaemonStats s;
+  s.views_installed = counters_.views_installed.value();
+  s.gathers_started = counters_.gathers_started.value();
+  s.messages_delivered = counters_.messages_delivered.value();
+  s.control_changes = counters_.control_changes.value();
+  s.recovered_messages = counters_.recovered_messages.value();
+  s.retrans_served = counters_.retrans_served.value();
+  return s;
 }
 
 void Daemon::obs_close_membership_spans() {

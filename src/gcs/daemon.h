@@ -118,7 +118,8 @@ class Daemon : public runtime::PacketSink {
   const ViewId& view() const { return view_id_; }
   const std::vector<DaemonId>& view_members() const { return view_members_; }
   bool is_operational() const { return state_ == DState::kOperational; }
-  const DaemonStats& stats() const { return stats_; }
+  /// Snapshot of this daemon's counters (they survive crash and restart).
+  DaemonStats stats() const;
   /// One-line dump of the membership/delivery/link state machines, for test
   /// and incident diagnostics. Call from the daemon's own lane.
   std::string debug_state() const;
@@ -233,22 +234,16 @@ class Daemon : public runtime::PacketSink {
                           const std::optional<MemberId>& self_leaver);
 
   // --- observability (daemon.cpp) -------------------------------------------
-  /// Registry-backed mirrors of DaemonStats plus the delivery-latency
-  /// histogram. Handles are cached and re-resolved whenever a different
-  /// registry is installed (per-test scopes), so the hot path pays one
-  /// integer compare per lookup. The plain DaemonStats fields stay
-  /// authoritative for the stats() accessor.
-  struct ObsHandles {
-    std::uint64_t generation = 0;  // 0 = never resolved
-    obs::Counter* views_installed = nullptr;
-    obs::Counter* gathers_started = nullptr;
-    obs::Counter* messages_delivered = nullptr;
-    obs::Counter* control_changes = nullptr;
-    obs::Counter* recovered_messages = nullptr;
-    obs::Counter* retrans_served = nullptr;
-    obs::Histogram* delivery_latency_us = nullptr;
+  /// One counter per DaemonStats field, listed as gcs.daemon.*{daemon=<id>}.
+  struct Counters {
+    explicit Counters(const obs::Labels& labels);
+    obs::Counter views_installed;
+    obs::Counter gathers_started;
+    obs::Counter messages_delivered;
+    obs::Counter control_changes;
+    obs::Counter recovered_messages;
+    obs::Counter retrans_served;
   };
-  ObsHandles& obs_handles();
   /// Closes any open membership phase span, then the view-change span.
   void obs_close_membership_spans();
 
@@ -320,8 +315,9 @@ class Daemon : public runtime::PacketSink {
   // Client sends queued while not operational.
   std::deque<PendingSend> pending_sends_;
 
-  DaemonStats stats_;
-  ObsHandles obs_;
+  Counters counters_;
+  /// gcs.delivery.latency_us{daemon=<id>}, resolved once at construction.
+  obs::Histogram& delivery_latency_us_;
   // Membership protocol spans (lane tid=0 of this daemon's trace track).
   // view_change_span_ wraps the whole change; exactly one phase span
   // (gather/exchange/recover) nests inside it at a time.

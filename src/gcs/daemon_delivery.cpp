@@ -212,13 +212,12 @@ void Daemon::deliver_now(ViewContext& ctx, StoredMsg& sm) {
   if (sit != ctx.stamp_of.end() && sit->second > ctx.delivered_gseq) {
     ctx.delivered_gseq = sit->second;
   }
-  ++stats_.messages_delivered;
-  obs_handles().messages_delivered->inc();
+  counters_.messages_delivered.inc();
   if (obs::TraceSink* s = obs::sink()) {
     const std::uint64_t key =
         obs::trace_msg_key(m.view.round, m.view.coordinator, m.sender, m.seq);
     if (const auto latency = s->latency_since_send(key)) {
-      obs_handles().delivery_latency_us->observe(static_cast<double>(*latency));
+      delivery_latency_us_.observe(static_cast<double>(*latency));
       s->instant("gcs", "msg.delivered", self_, 0,
                  {{"latency_us", *latency}, {"sender", m.sender}, {"seq", m.seq}});
     }
@@ -238,8 +237,7 @@ void Daemon::apply_group_change(const DataMsg& m) {
   } catch (const util::SerialError&) {
     return;
   }
-  ++stats_.control_changes;
-  obs_handles().control_changes->inc();
+  counters_.control_changes.inc();
   auto ctx_it = contexts_.find(m.view);
   ViewContext& ctx = ctx_it->second;
 

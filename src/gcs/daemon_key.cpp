@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/log.h"
 #include "util/serial.h"
@@ -16,7 +15,8 @@ DaemonKeyAgent::DaemonKeyAgent(const DaemonKeyStore& store, DaemonId self, std::
       rnd_(seed, "daemon-key-agent"),
       crypto_(std::make_shared<LinkCrypto>(store, self, seed ^ 0x9E3779B97F4A7C15ULL)),
       send_(std::move(send)),
-      compute_(compute) {}
+      compute_(compute),
+      rekeys_("gcs.daemon_key.rekeys", {{"daemon", std::to_string(self)}}) {}
 
 DaemonKeyAgent::~DaemonKeyAgent() { *alive_ = false; }
 
@@ -138,10 +138,7 @@ void DaemonKeyAgent::on_key_dist(DaemonId from, const util::Bytes& body) {
 void DaemonKeyAgent::install_key(const ViewId& view, util::Bytes key) {
   key_ = std::move(key);
   key_view_ = view;
-  ++rekeys_;
-  obs::MetricsRegistry::current()
-      .counter("gcs.daemon_key.rekeys", {{"daemon", std::to_string(self_)}})
-      .inc();
+  rekeys_.inc();
   if (obs::TraceSink* s = obs::sink()) {
     s->instant("gcs", "daemon_key.rekey", self_, 0, {{"view", view.to_string()}});
   }

@@ -27,6 +27,7 @@
 
 #include "gcs/link_crypto.h"
 #include "gcs/types.h"
+#include "obs/metrics.h"
 #include "runtime/compute.h"
 #include "util/bytes.h"
 
@@ -57,7 +58,7 @@ class DaemonKeyAgent {
   const util::Bytes& group_key() const { return key_; }
   bool has_key() const { return !key_.empty(); }
   const ViewId& key_view() const { return key_view_; }
-  std::uint64_t rekeys() const { return rekeys_; }
+  std::uint64_t rekeys() const { return rekeys_.value(); }
 
   /// Wire format helpers (exposed for tests).
   static util::Bytes encode_dist(const ViewId& view, const util::Bytes& sealed_key);
@@ -88,7 +89,7 @@ class DaemonKeyAgent {
   std::vector<DaemonId> current_members_;
   util::Bytes key_;
   ViewId key_view_;
-  std::uint64_t rekeys_ = 0;
+  obs::Counter rekeys_;  // gcs.daemon_key.rekeys{daemon=<id>}
   bool seal_inflight_ = false;
   /// Key distributions that arrived while a seal job held the channel.
   std::vector<std::pair<DaemonId, util::Bytes>> pending_dists_;

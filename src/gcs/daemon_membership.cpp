@@ -32,8 +32,7 @@ void Daemon::trigger_gather() {
     announce_gather();
     return;
   }
-  ++stats_.gathers_started;
-  obs_handles().gathers_started->inc();
+  counters_.gathers_started.inc();
   // A regather from exchange/recover is a cascade: the phase span restarts
   // but the enclosing view-change span keeps running from the first gather.
   if (!view_change_span_.open()) {
@@ -344,8 +343,7 @@ void Daemon::on_retrans_req(DaemonId from, const RetransReqMsg& m) {
     if (sit != it->second.store.end()) reply.msgs.push_back(sit->second.msg);
   }
   if (!reply.msgs.empty()) {
-    stats_.retrans_served += reply.msgs.size();
-    obs_handles().retrans_served->inc(reply.msgs.size());
+    counters_.retrans_served.inc(reply.msgs.size());
     links_->send(from, frame(MsgType::kRetransData, reply.encode()));
   }
 }
@@ -386,8 +384,7 @@ void Daemon::finish_recovery_and_install() {
       ctx.stamps[s.gseq] = {s.sender, s.seq};
       ctx.stamp_of[{s.sender, s.seq}] = s.gseq;
       deliver_now(ctx, sit->second);
-      ++stats_.recovered_messages;
-      obs_handles().recovered_messages->inc();
+      counters_.recovered_messages.inc();
     }
     // 2. Deliver the unstamped remainder below the cut in deterministic
     //    (sender, seq) order — identical at every member of the plan.
@@ -395,8 +392,7 @@ void Daemon::finish_recovery_and_install() {
       if (sm.delivered) continue;
       if (key.second > cut_of(key.first)) continue;
       deliver_now(ctx, sm);
-      ++stats_.recovered_messages;
-      obs_handles().recovered_messages->inc();
+      counters_.recovered_messages.inc();
     }
   }
 
@@ -428,8 +424,7 @@ void Daemon::install_view(const ViewId& id, const std::vector<DaemonId>& members
   view_members_ = members;
   std::sort(view_members_.begin(), view_members_.end());
   max_round_seen_ = std::max(max_round_seen_, id.round);
-  ++stats_.views_installed;
-  obs_handles().views_installed->inc();
+  counters_.views_installed.inc();
   // Close the phase + view-change spans (no-ops on the singleton boot view,
   // which installs without a preceding gather) and mark the installation.
   phase_span_.end();

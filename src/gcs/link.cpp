@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/msgpath.h"
 #include "util/serial.h"
@@ -39,7 +38,9 @@ LinkManager::LinkManager(const runtime::Env& env, std::uint64_t boot_id, TimingC
       self_(env.self),
       boot_id_(boot_id),
       timing_(timing),
-      deliver_(std::move(deliver)) {}
+      deliver_(std::move(deliver)),
+      retransmissions_("gcs.link.retransmissions", {{"daemon", std::to_string(self_)}}),
+      frames_rejected_("gcs.link.frames_rejected", {{"daemon", std::to_string(self_)}}) {}
 
 LinkManager::~LinkManager() { shutdown(); }
 
@@ -178,12 +179,9 @@ void LinkManager::on_timeout(DaemonId peer) {
   // retransmission churn toward partitioned or crashed peers.
   // Retransmissions share the original payload blocks — no copies.
   for (const auto& [seq, msg] : st.unacked) {
-    ++retransmissions_;
+    retransmissions_.inc();
     transmit(peer, seq, msg);
   }
-  obs::MetricsRegistry::current()
-      .counter("gcs.link.retransmissions", {{"daemon", std::to_string(self_)}})
-      .inc(st.unacked.size());
   if (obs::TraceSink* s = obs::sink()) {
     s->instant("link", "link.retransmit", self_, 0,
                {{"peer", peer}, {"msgs", st.unacked.size()}});
@@ -193,9 +191,7 @@ void LinkManager::on_timeout(DaemonId peer) {
 }
 
 void LinkManager::note_frame_rejected(DaemonId from) {
-  obs::MetricsRegistry::current()
-      .counter("gcs.link.frames_rejected", {{"daemon", std::to_string(self_)}})
-      .inc();
+  frames_rejected_.inc();
   if (obs::TraceSink* s = obs::sink()) {
     s->instant("link", "link.reject", self_, 0, {{"peer", from}});
   }
@@ -217,16 +213,14 @@ void LinkManager::on_packet(DaemonId from, const util::Frame& raw) {
     try {
       f = util::Frame{util::SharedBytes(crypto_->open(from, raw.to_bytes()))};
     } catch (const std::exception&) {
-      ++frames_rejected_;  // forged/corrupt/unauthorized: drop
-      note_frame_rejected(from);
+      note_frame_rejected(from);  // forged/corrupt/unauthorized: drop
       return;
     }
   }
   try {
     dispatch_frame(from, f);
   } catch (const util::SerialError&) {
-    ++frames_rejected_;  // malformed/truncated frame: drop, stream intact
-    note_frame_rejected(from);
+    note_frame_rejected(from);  // malformed/truncated frame: drop, stream intact
   }
 }
 
@@ -342,8 +336,8 @@ void LinkManager::dispatch_frame(DaemonId from, const util::Frame& f) {
 }
 
 std::string LinkManager::debug_state() const {
-  std::string out = "retrans=" + std::to_string(retransmissions_) +
-                    " rejected=" + std::to_string(frames_rejected_);
+  std::string out = "retrans=" + std::to_string(retransmissions_.value()) +
+                    " rejected=" + std::to_string(frames_rejected_.value());
   for (const auto& [peer, st] : send_) {
     out += " tx" + std::to_string(peer) + "{next=" + std::to_string(st.next_seq) +
            " unacked=" + std::to_string(st.unacked.size());

@@ -25,6 +25,7 @@
 #include "gcs/config.h"
 #include "gcs/link_crypto.h"
 #include "gcs/types.h"
+#include "obs/metrics.h"
 #include "runtime/env.h"
 #include "util/frame.h"
 #include "util/shared_bytes.h"
@@ -67,9 +68,9 @@ class LinkManager {
   /// frame, so crypto linearizes the scatter segments (counted copies).
   void set_crypto(LinkCrypto* crypto) { crypto_ = crypto; }
 
-  std::uint64_t retransmissions() const { return retransmissions_; }
+  std::uint64_t retransmissions() const { return retransmissions_.value(); }
   /// Frames dropped by the crypto layer (forged/corrupt/unauthorized).
-  std::uint64_t frames_rejected() const { return frames_rejected_; }
+  std::uint64_t frames_rejected() const { return frames_rejected_.value(); }
   /// One-line dump of every per-peer stream state (diagnostics).
   std::string debug_state() const;
 
@@ -101,7 +102,7 @@ class LinkManager {
   /// Sends the queued small messages to `to` as one pack frame (or a plain
   /// frame if only one survived). No-op when the queue is empty.
   void flush_pack(DaemonId to);
-  /// Registry dual-write + trace instant for a rejected frame.
+  /// Counts and traces a rejected frame.
   void note_frame_rejected(DaemonId from);
   void send_ack(DaemonId to, std::uint64_t boot_id, std::uint64_t cum_seq);
 
@@ -113,10 +114,10 @@ class LinkManager {
   DeliverFn deliver_;
   std::map<DaemonId, SendState> send_;
   std::map<DaemonId, RecvState> recv_;
-  std::uint64_t retransmissions_ = 0;
   bool shutdown_ = false;
   LinkCrypto* crypto_ = nullptr;
-  std::uint64_t frames_rejected_ = 0;
+  obs::Counter retransmissions_;  // gcs.link.retransmissions{daemon=<id>}
+  obs::Counter frames_rejected_;  // gcs.link.frames_rejected{daemon=<id>}
 };
 
 }  // namespace ss::gcs

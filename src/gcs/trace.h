@@ -16,7 +16,6 @@
 #include <cstdint>
 
 #include "gcs/types.h"
-#include "util/msgpath.h"
 
 namespace ss::gcs {
 
@@ -64,13 +63,6 @@ class ClientTrace {
                                  const GroupViewId& current_view) {
     (void)member, (void)group, (void)key_id, (void)msg_view, (void)current_view;
   }
-
-  /// Process-wide data-path counters (payload allocations/copies, frames,
-  /// packing; see util/msgpath.h). Exposed here so harnesses already built
-  /// around the trace interface can assert on data-path behaviour, e.g.
-  /// "local delivery of one multicast performs zero payload copies".
-  static const util::MsgPathStats& data_path() { return util::msgpath(); }
-  static void reset_data_path() { util::msgpath_reset(); }
 
   /// Process-wide observer (nullptr when tracing is off).
   static ClientTrace* global() { return global_; }

@@ -163,25 +163,6 @@ void UdpTransport::wake() {
   (void)!::write(wake_pipe_[1], &one, 1);
 }
 
-UdpTransport::ObsHandles& UdpTransport::obs_locked() {
-  const std::uint64_t gen = obs::MetricsRegistry::current_generation();
-  if (obs_.generation != gen) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
-    obs_.packets_sent = &reg.counter("net.udp.packets_sent");
-    obs_.bytes_sent = &reg.counter("net.udp.bytes_sent");
-    obs_.packets_received = &reg.counter("net.udp.packets_received");
-    obs_.bytes_received = &reg.counter("net.udp.bytes_received");
-    obs_.send_backpressure_drops = &reg.counter("net.udp.send_backpressure_drops");
-    obs_.send_errors = &reg.counter("net.udp.send_errors");
-    obs_.recv_truncated = &reg.counter("net.udp.recv_truncated");
-    obs_.recv_unknown_sender = &reg.counter("net.udp.recv_unknown_sender");
-    obs_.dropped_down = &reg.counter("net.udp.dropped_down");
-    obs_.recv_copies = &reg.counter("net.udp.recv_copies");
-    obs_.generation = gen;
-  }
-  return obs_;
-}
-
 void UdpTransport::send(runtime::NodeId from, runtime::NodeId to, util::Frame payload) {
   int fd = -1;
   sockaddr_in dst{};
@@ -190,18 +171,15 @@ void UdpTransport::send(runtime::NodeId from, runtime::NodeId to, util::Frame pa
     if (from >= fds_.size() || fds_[from] < 0) {
       // Not a local node: nothing to send with. Counted as a send error —
       // this is a wiring bug, not network weather.
-      ++stats_.send_errors;
-      obs_locked().send_errors->inc();
+      counters_.send_errors.inc();
       return;
     }
     if (!up_[from] || (to < up_.size() && !up_[to])) {
-      ++stats_.dropped_down;
-      obs_locked().dropped_down->inc();
+      counters_.dropped_down.inc();
       return;
     }
     if (!map_.has(to)) {
-      ++stats_.send_errors;
-      obs_locked().send_errors->inc();
+      counters_.send_errors.inc();
       SS_LOG_WARN("net", "node ", from, ": no address configured for peer ", to,
                   "; datagram dropped");
       return;
@@ -235,18 +213,14 @@ void UdpTransport::send(runtime::NodeId from, runtime::NodeId to, util::Frame pa
   const int err = errno;  // before the lock: a contended acquire may clobber errno
   util::MutexLock lk(mu_);
   if (n >= 0) {
-    ++stats_.packets_sent;
-    stats_.bytes_sent += static_cast<std::uint64_t>(n);
-    obs_locked().packets_sent->inc();
-    obs_locked().bytes_sent->inc(static_cast<std::uint64_t>(n));
+    counters_.packets_sent.inc();
+    counters_.bytes_sent.inc(static_cast<std::uint64_t>(n));
   } else if (err == EAGAIN || err == EWOULDBLOCK || err == ENOBUFS) {
     // Kernel buffer full: backpressure becomes loss, which the link layer's
     // retransmission absorbs. Dropping beats blocking a protocol lane.
-    ++stats_.send_backpressure_drops;
-    obs_locked().send_backpressure_drops->inc();
+    counters_.send_backpressure_drops.inc();
   } else {
-    ++stats_.send_errors;
-    obs_locked().send_errors->inc();
+    counters_.send_errors.inc();
     SS_LOG_WARN("net", "node ", from, " -> ", to, ": sendmsg failed: ", errno_text(err));
   }
 }
@@ -271,7 +245,19 @@ void UdpTransport::recover(runtime::NodeId id) {
 
 UdpTransport::Stats UdpTransport::stats() const {
   util::MutexLock lk(mu_);
-  return stats_;
+  Stats s;
+  s.packets_sent = counters_.packets_sent.value();
+  s.bytes_sent = counters_.bytes_sent.value();
+  s.packets_received = counters_.packets_received.value();
+  s.bytes_received = counters_.bytes_received.value();
+  s.send_backpressure_drops = counters_.send_backpressure_drops.value();
+  s.send_errors = counters_.send_errors.value();
+  s.recv_truncated = counters_.recv_truncated.value();
+  s.recv_unknown_sender = counters_.recv_unknown_sender.value();
+  s.dropped_down = counters_.dropped_down.value();
+  s.recv_copies = counters_.recv_copies.value();
+  s.recv_bytes_copied = counters_.recv_bytes_copied.value();
+  return s;
 }
 
 void UdpTransport::loop() {
@@ -361,29 +347,23 @@ void UdpTransport::on_datagram(runtime::NodeId to, const sockaddr_in& source,
   {
     util::MutexLock lk(mu_);
     if (truncated) {
-      ++stats_.recv_truncated;
-      obs_locked().recv_truncated->inc();
+      counters_.recv_truncated.inc();
       return;
     }
     const auto sender = map_.find(endpoint_of_sockaddr(source));
     if (!sender.has_value()) {
-      ++stats_.recv_unknown_sender;
-      obs_locked().recv_unknown_sender->inc();
+      counters_.recv_unknown_sender.inc();
       return;
     }
     from = *sender;
     if (!up_[to] || (from < up_.size() && !up_[from])) {
-      ++stats_.dropped_down;
-      obs_locked().dropped_down->inc();
+      counters_.dropped_down.inc();
       return;
     }
-    ++stats_.packets_received;
-    stats_.bytes_received += len;
-    ++stats_.recv_copies;
-    stats_.recv_bytes_copied += len;
-    obs_locked().packets_received->inc();
-    obs_locked().bytes_received->inc(len);
-    obs_locked().recv_copies->inc();
+    counters_.packets_received.inc();
+    counters_.bytes_received.inc(len);
+    counters_.recv_copies.inc();
+    counters_.recv_bytes_copied.inc(len);
     clk = clocks_[to];
   }
 
@@ -401,14 +381,12 @@ void UdpTransport::on_datagram(runtime::NodeId to, const sockaddr_in& source,
     {
       util::MutexLock lk(mu_);
       if (to >= up_.size() || !up_[to] || (from < up_.size() && !up_[from])) {
-        ++stats_.dropped_down;
-        obs_locked().dropped_down->inc();
+        counters_.dropped_down.inc();
         return;
       }
       sink = sinks_[to];
       if (sink == nullptr) {
-        ++stats_.dropped_down;
-        obs_locked().dropped_down->inc();
+        counters_.dropped_down.inc();
         return;
       }
     }

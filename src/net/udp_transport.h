@@ -46,8 +46,8 @@ namespace ss::net {
 
 class UdpTransport final : public runtime::Transport {
  public:
-  /// Socket-level counters (also mirrored onto the obs registry as
-  /// net.udp.*). Plain snapshot struct; read via stats().
+  /// Socket-level counters, listed in the obs registry as net.udp.<field>.
+  /// Plain snapshot struct; read via stats().
   struct Stats {
     std::uint64_t packets_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -99,21 +99,20 @@ class UdpTransport final : public runtime::Transport {
   Stats stats() const SS_EXCLUDES(mu_);
 
  private:
-  /// Registry-backed mirrors of Stats, generation-checked like
-  /// gcs::Daemon::ObsHandles so per-test RegistryScopes resolve fresh
-  /// handles. Resolved and bumped under mu_.
-  struct ObsHandles {
-    std::uint64_t generation = 0;
-    obs::Counter* packets_sent = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* packets_received = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* send_backpressure_drops = nullptr;
-    obs::Counter* send_errors = nullptr;
-    obs::Counter* recv_truncated = nullptr;
-    obs::Counter* recv_unknown_sender = nullptr;
-    obs::Counter* dropped_down = nullptr;
-    obs::Counter* recv_copies = nullptr;
+  /// One counter per Stats field. Bumped under mu_, so stats() reads a
+  /// coherent snapshot; the registry reads the atomics without it.
+  struct Counters {
+    obs::Counter packets_sent{"net.udp.packets_sent"};
+    obs::Counter bytes_sent{"net.udp.bytes_sent"};
+    obs::Counter packets_received{"net.udp.packets_received"};
+    obs::Counter bytes_received{"net.udp.bytes_received"};
+    obs::Counter send_backpressure_drops{"net.udp.send_backpressure_drops"};
+    obs::Counter send_errors{"net.udp.send_errors"};
+    obs::Counter recv_truncated{"net.udp.recv_truncated"};
+    obs::Counter recv_unknown_sender{"net.udp.recv_unknown_sender"};
+    obs::Counter dropped_down{"net.udp.dropped_down"};
+    obs::Counter recv_copies{"net.udp.recv_copies"};
+    obs::Counter recv_bytes_copied{"net.udp.recv_bytes_copied"};
   };
 
   void loop() SS_EXCLUDES(mu_);
@@ -122,7 +121,6 @@ class UdpTransport final : public runtime::Transport {
   void on_datagram(runtime::NodeId to, const sockaddr_in& source, const std::uint8_t* data,
                    std::size_t len, bool truncated) SS_EXCLUDES(mu_);
   void ensure_slot(runtime::NodeId id) SS_REQUIRES(mu_);
-  ObsHandles& obs_locked() SS_REQUIRES(mu_);
   void wake();
 
   runtime::RealtimeEnv& loops_;
@@ -133,8 +131,7 @@ class UdpTransport final : public runtime::Transport {
   std::vector<runtime::PacketSink*> sinks_ SS_GUARDED_BY(mu_);
   std::vector<bool> up_ SS_GUARDED_BY(mu_);
   std::vector<runtime::Clock*> clocks_ SS_GUARDED_BY(mu_);  // home-lane routers
-  Stats stats_ SS_GUARDED_BY(mu_);
-  ObsHandles obs_ SS_GUARDED_BY(mu_);
+  Counters counters_ SS_GUARDED_BY(mu_);
   bool stopping_ SS_GUARDED_BY(mu_) = false;
   bool started_ SS_GUARDED_BY(mu_) = false;
 

@@ -142,10 +142,10 @@ void Client::send_frame(const util::Bytes& framed) {
 std::optional<util::Bytes> Client::read_frame(std::chrono::steady_clock::time_point deadline) {
   for (;;) {
     if (std::optional<util::Bytes> body = wire::next_frame(in_)) return body;
-    const int wait = remaining_ms(deadline);
-    if (wait == 0) return std::nullopt;
+    // A wait that rounds down to 0 ms still polls once without blocking, so
+    // a short timeout reads whatever already sits in the socket.
     pollfd pfd{fd_, POLLIN, 0};
-    const int rv = ::poll(&pfd, 1, wait);
+    const int rv = ::poll(&pfd, 1, remaining_ms(deadline));
     if (rv < 0) {
       if (errno == EINTR) continue;
       fail("poll failed: " + errno_text(errno));

@@ -86,13 +86,6 @@ double Histogram::percentile_locked(double p) const {
   return max_;
 }
 
-void Histogram::reset() {
-  util::MutexLock lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0;
-}
-
 const std::vector<double>& latency_buckets_us() {
   static const std::vector<double> kBounds = {
       10,      20,      50,      100,      200,      500,       1000,      2000,
@@ -110,13 +103,7 @@ MetricsRegistry& default_registry() {
   static MetricsRegistry reg;
   return reg;
 }
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> gen{0};
-  return gen.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 }  // namespace
-
-MetricsRegistry::MetricsRegistry() : generation_(next_generation()) {}
 
 MetricsRegistry::~MetricsRegistry() {
   // A scope should have restored the previous registry already; if someone
@@ -142,11 +129,24 @@ std::string MetricsRegistry::key_of(const std::string& name, const Labels& label
   return key;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels) {
+std::uint64_t MetricsRegistry::Series::value() const {
+  std::uint64_t total = retired;
+  for (const Counter* c : live) total += c->value();
+  return total;
+}
+
+MetricsRegistry::Series& MetricsRegistry::list(const Counter& c, const std::string& name,
+                                               const Labels& labels) {
   util::MutexLock lock(mu_);
-  std::unique_ptr<Counter>& slot = counters_[key_of(name, labels)];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  Series& series = counters_[key_of(name, labels)];
+  series.live.push_back(&c);
+  return series;
+}
+
+void MetricsRegistry::unlist(const Counter& c, Series& series) {
+  util::MutexLock lock(mu_);
+  series.retired += c.value();
+  series.live.erase(std::find(series.live.begin(), series.live.end(), &c));
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
@@ -169,41 +169,26 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name,
                                              const Labels& labels) const {
   util::MutexLock lock(mu_);
   const auto it = counters_.find(key_of(name, labels));
-  return it == counters_.end() ? 0 : it->second->value();
+  return it == counters_.end() ? 0 : it->second.value();
 }
 
 std::uint64_t MetricsRegistry::counter_sum(const std::string& name) const {
   util::MutexLock lock(mu_);
   std::uint64_t total = 0;
   const std::string prefix = name + "{";
-  for (const auto& [key, c] : counters_) {
-    if (key == name || key.compare(0, prefix.size(), prefix) == 0) total += c->value();
+  for (const auto& [key, series] : counters_) {
+    if (key == name || key.compare(0, prefix.size(), prefix) == 0) total += series.value();
   }
   return total;
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name,
-                                                 const Labels& labels) const {
-  util::MutexLock lock(mu_);
-  const auto it = histograms_.find(key_of(name, labels));
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-void MetricsRegistry::reset() {
-  util::MutexLock lock(mu_);
-  for (auto& [key, c] : counters_) c->reset();
-  for (auto& [key, g] : gauges_) g->reset();
-  for (auto& [key, h] : histograms_) h->reset();
-  data_path_ = util::MsgPathStats{};
 }
 
 std::string MetricsRegistry::render_text() const {
   util::MutexLock lock(mu_);
   std::string out;
   char buf[160];
-  for (const auto& [key, c] : counters_) {
+  for (const auto& [key, series] : counters_) {
     std::snprintf(buf, sizeof buf, " %llu\n",
-                  static_cast<unsigned long long>(c->value()));
+                  static_cast<unsigned long long>(series.value()));
     out += key;
     out += buf;
   }
@@ -232,15 +217,20 @@ MetricsRegistry* MetricsRegistry::set_current(MetricsRegistry* r) {
   return current_.exchange(r, std::memory_order_acq_rel);
 }
 
+// --- Counter -----------------------------------------------------------------
+
+Counter::Counter(const std::string& name, const Labels& labels)
+    : Counter(MetricsRegistry::current(), name, labels) {}
+
+Counter::Counter(MetricsRegistry& registry, const std::string& name, const Labels& labels)
+    : registry_(registry), series_(registry.list(*this, name, labels)) {}
+
+Counter::~Counter() { registry_.unlist(*this, series_); }
+
 // --- RegistryScope -----------------------------------------------------------
 
-RegistryScope::RegistryScope(MetricsRegistry& r)
-    : prev_registry_(MetricsRegistry::set_current(&r)),
-      prev_data_path_(util::msgpath_install(&r.data_path())) {}
+RegistryScope::RegistryScope(MetricsRegistry& r) : prev_(MetricsRegistry::set_current(&r)) {}
 
-RegistryScope::~RegistryScope() {
-  util::msgpath_install(prev_data_path_);
-  MetricsRegistry::set_current(prev_registry_);
-}
+RegistryScope::~RegistryScope() { MetricsRegistry::set_current(prev_); }
 
 }  // namespace ss::obs

@@ -5,18 +5,35 @@
 // per-class counters. Metrics follow the naming convention
 // `layer.object.metric` (e.g. "gcs.daemon.views_installed") and carry a
 // label set identifying the reporting entity ({daemon=3}, {member=2:1},
-// {group=chat}). The registry is a process-wide *current* pointer with an
-// RAII scope (RegistryScope), so each test or benchmark epoch gets a fresh
-// registry and nothing bleeds between epochs — including the data-path
-// counters of util/msgpath.h, which the scope routes into the registry's
-// own block.
+// {group=chat}).
+//
+// One store per counter. A Counter is owned by the component that counts
+// (a Daemon, a LinkManager, one group of a SecureGroupClient, ...), and the
+// component's accessors read it directly. At construction the counter is
+// *listed* in the registry that is current then, under its (name, labels)
+// key. A series — everything listed under one key — reads as the sum of
+// its live counters plus the final values of destroyed ones, which a
+// counter folds in when it dies. So a series is cumulative over the
+// registry's lifetime, while each accessor counts only its own events.
+//
+// Counters bind once and are never re-resolved, so a registry must outlive
+// every component built while it was current: the test Cluster fixture,
+// bench_msg_path and perfbench declare their registry before the
+// components, and the ASan stage reports a violation as a use-after-free.
+// Gauges and histograms are owned by the registry and found or created by
+// key; a component resolves the ones it uses once.
+//
+// The current registry is a process-wide pointer with an RAII scope
+// (RegistryScope), so each test cluster or benchmark epoch lists its
+// components in a fresh registry and nothing bleeds between epochs.
 //
 // Thread-safety: the simulation is single-threaded, but the realtime
 // backend runs N event-loop lanes plus a crypto worker pool, and all of
 // them report here. Counters and gauges are relaxed atomics (an increment
-// through a cached handle is one atomic add); histograms and the registry
-// maps take a util::Mutex, which is uncontended in the serial case. Serial
-// behaviour — values, rendering, generation checks — is unchanged.
+// is one atomic add on the owner's counter); histograms and the registry
+// maps take a util::Mutex, which is uncontended in the serial case.
+// Listing, unlisting and reading a series take the registry mutex, so a
+// reader never sees a counter that is being destroyed.
 #pragma once
 
 #include <atomic>
@@ -27,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/msgpath.h"
 #include "util/mutex.h"
 #include "util/thread_safety.h"
 
@@ -37,15 +53,7 @@ namespace ss::obs {
 /// by the caller is irrelevant; the registry canonicalizes by sorting.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
+class Counter;
 
 class Gauge {
  public:
@@ -56,7 +64,6 @@ class Gauge {
     }
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0};
@@ -87,8 +94,6 @@ class Histogram {
   /// Returned by value: a coherent snapshot under the histogram lock.
   std::vector<std::uint64_t> buckets() const SS_EXCLUDES(mu_);
 
-  void reset() SS_EXCLUDES(mu_);
-
  private:
   double percentile_locked(double p) const SS_REQUIRES(mu_);
 
@@ -107,71 +112,85 @@ const std::vector<double>& latency_buckets_us();
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
+  MetricsRegistry() = default;
   ~MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Finds or creates the metric for (name, labels). References stay valid
-  /// for the registry's lifetime (node-stable storage), so cached handles
-  /// can be used lock-free from any thread.
-  Counter& counter(const std::string& name, const Labels& labels = {}) SS_EXCLUDES(mu_);
+  /// Finds or creates the gauge / histogram for (name, labels). References
+  /// stay valid for the registry's lifetime (node-stable storage), so a
+  /// resolved handle can be used lock-free from any thread.
   Gauge& gauge(const std::string& name, const Labels& labels = {}) SS_EXCLUDES(mu_);
   Histogram& histogram(const std::string& name, const std::vector<double>& bounds,
                        const Labels& labels = {}) SS_EXCLUDES(mu_);
 
-  /// Value of a counter, 0 if it was never touched.
+  /// Value of a counter series: its live counters plus the final values of
+  /// destroyed ones; 0 if nothing was ever listed under the key.
   std::uint64_t counter_value(const std::string& name, const Labels& labels = {}) const
       SS_EXCLUDES(mu_);
-  /// Sums a counter across every label set it was recorded under.
+  /// Sums a counter across every label set it was listed under.
   std::uint64_t counter_sum(const std::string& name) const SS_EXCLUDES(mu_);
-  /// nullptr if the histogram was never created.
-  const Histogram* find_histogram(const std::string& name, const Labels& labels = {}) const
-      SS_EXCLUDES(mu_);
-
-  /// Zeroes every metric and the registry's data-path block. Metric handles
-  /// stay valid (reset does not deallocate).
-  void reset() SS_EXCLUDES(mu_);
-
-  /// The data-path counter block (util/msgpath.h) this registry owns.
-  /// RegistryScope routes the process-wide msgpath() accessor here.
-  util::MsgPathStats& data_path() { return data_path_; }
-  const util::MsgPathStats& data_path() const { return data_path_; }
 
   /// One "name{k=v,...} value" line per metric, sorted by key; histograms
   /// render count/sum/min/p50/p99/max. For humans and golden tests.
   std::string render_text() const SS_EXCLUDES(mu_);
 
-  /// Unique id of this registry instance; never reused within a process.
-  /// Cached metric handles compare this against current_generation() to
-  /// detect that a different registry was installed (per-test scopes).
-  std::uint64_t generation() const { return generation_; }
-
   /// The current registry (a process default when no scope is active).
   static MetricsRegistry& current();
-  static std::uint64_t current_generation() { return current().generation(); }
   /// Installs `r` as current (nullptr restores the process default);
   /// returns the previous pointer (nullptr if it was the default).
   static MetricsRegistry* set_current(MetricsRegistry* r);
 
  private:
-  static std::string key_of(const std::string& name, const Labels& labels);
+  friend class Counter;
 
-  mutable util::Mutex mu_;  // guards the lookup maps, not the metrics
-  std::map<std::string, std::unique_ptr<Counter>> counters_ SS_GUARDED_BY(mu_);
+  /// Everything listed under one counter key.
+  struct Series {
+    std::uint64_t retired = 0;  // final values of destroyed counters
+    std::vector<const Counter*> live;
+    std::uint64_t value() const;
+  };
+
+  static std::string key_of(const std::string& name, const Labels& labels);
+  Series& list(const Counter& c, const std::string& name, const Labels& labels)
+      SS_EXCLUDES(mu_);
+  void unlist(const Counter& c, Series& series) SS_EXCLUDES(mu_);
+
+  mutable util::Mutex mu_;  // guards the lookup maps and the series lists
+  std::map<std::string, Series> counters_ SS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ SS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ SS_GUARDED_BY(mu_);
-  util::MsgPathStats data_path_;
-  std::uint64_t generation_;
 
   static std::atomic<MetricsRegistry*> current_;
 };
 
-/// RAII: installs a registry as current and routes the process-wide
-/// data-path counters into its block; restores both on destruction. Used by
-/// the test cluster fixture and the benchmarks, so a failed test cannot
-/// corrupt the next test's data_path() assertions.
+/// A monotonic count, owned by the component that counts and listed in a
+/// registry for its whole lifetime (see the file comment).
+class Counter {
+ public:
+  /// Lists the counter in MetricsRegistry::current() under (name, labels).
+  explicit Counter(const std::string& name, const Labels& labels = {});
+  /// Lists the counter in `registry`, which must outlive it.
+  Counter(MetricsRegistry& registry, const std::string& name, const Labels& labels = {});
+  /// Folds the final value into the series and unlists the counter.
+  ~Counter();
+
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
+  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};  // initialized before the counter is listed
+  MetricsRegistry& registry_;
+  MetricsRegistry::Series& series_;
+};
+
+/// RAII: installs a registry as current; restores the previous one on
+/// destruction. Used by the test cluster fixture and the benchmarks, so the
+/// components each builds are listed in its own registry.
 class RegistryScope {
  public:
   explicit RegistryScope(MetricsRegistry& r);
@@ -181,8 +200,7 @@ class RegistryScope {
   RegistryScope& operator=(const RegistryScope&) = delete;
 
  private:
-  MetricsRegistry* prev_registry_;
-  util::MsgPathStats* prev_data_path_;
+  MetricsRegistry* prev_;
 };
 
 }  // namespace ss::obs

@@ -10,19 +10,19 @@
 
 #include <cstdint>
 
-#include "obs/clock.h"
 #include "runtime/clock.h"
+#include "util/cpu_time.h"
 
 namespace ss::obs {
 
 /// Elapsed real CPU time of the current thread since construction/restart.
 class CpuStopwatch {
  public:
-  CpuStopwatch() : start_(cpu_now_seconds()) {}
+  CpuStopwatch() : start_(util::cpu_now_seconds()) {}
 
-  void restart() { start_ = cpu_now_seconds(); }
+  void restart() { start_ = util::cpu_now_seconds(); }
 
-  double seconds() const { return cpu_now_seconds() - start_; }
+  double seconds() const { return util::cpu_now_seconds() - start_; }
 
   std::uint64_t micros() const {
     const double sec = seconds();

@@ -87,8 +87,6 @@ SecureGroupClient::~SecureGroupClient() {
 }
 
 void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig config) {
-  GroupState st;
-  st.config = config;
   KaModuleEnv env;
   env.dh = config.dh;
   env.directory = &directory_;
@@ -104,10 +102,13 @@ void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig conf
   env.rnd_owner = std::move(ka_rng);
   env.clock = &clock_;
   env.self = fm_.id();
-  st.ka = KaRegistry::instance().create(config.ka_module, env);
-  st.cipher = CipherRegistry::instance().create(config.cipher);
-  GroupState& slot = groups_[group] = std::move(st);
-  arm_refresh_timer(group, slot);
+  std::unique_ptr<KeyAgreementModule> ka = KaRegistry::instance().create(config.ka_module, env);
+  std::unique_ptr<CipherSuite> cipher = CipherRegistry::instance().create(config.cipher);
+  groups_.erase(group);  // a repeated join starts from fresh state
+  GroupState& st = groups_.try_emplace(group, fm_.id(), config).first->second;
+  st.ka = std::move(ka);
+  st.cipher = std::move(cipher);
+  arm_refresh_timer(group, st);
   fm_.join(group);
 }
 
@@ -134,16 +135,40 @@ void SecureGroupClient::arm_refresh_timer(const gcs::GroupName& group, GroupStat
     if (it == groups_.end()) return;
     it->second.refresh_timer_armed = false;
     if (it->second.key_ready) {
-      ++it->second.stats.auto_refreshes;
+      it->second.counters.auto_refreshes.inc();
       refresh_key(group);
     }
     arm_refresh_timer(group, it->second);
   });
 }
 
+SecureGroupClient::GroupCounters::GroupCounters(const std::string& member,
+                                                const std::string& module)
+    : sealed("secure.sealed", {{"member", member}}),
+      opened("secure.opened", {{"member", member}}),
+      dropped_unauthentic("secure.dropped_unauthentic", {{"member", member}}),
+      dropped_undecodable("secure.dropped_undecodable", {{"member", member}}),
+      keys_installed("secure.keys_installed", {{"member", member}}),
+      auto_refreshes("secure.auto_refreshes", {{"member", member}}),
+      coalesced_views("secure.coalesced_views", {{"member", member}}),
+      dropped_early_ka("secure.dropped_early_ka", {{"member", member}}),
+      rekeys("secure.rekeys", {{"member", member}}),
+      mod_exps("secure.ka.mod_exps", {{"member", member}, {"module", module}}) {}
+
 SecureGroupStats SecureGroupClient::group_stats(const gcs::GroupName& group) const {
   auto it = groups_.find(group);
-  return it != groups_.end() ? it->second.stats : SecureGroupStats{};
+  if (it == groups_.end()) return {};
+  const GroupCounters& c = it->second.counters;
+  SecureGroupStats s;
+  s.sealed = c.sealed.value();
+  s.opened = c.opened.value();
+  s.dropped_unauthentic = c.dropped_unauthentic.value();
+  s.dropped_undecodable = c.dropped_undecodable.value();
+  s.rekeys = c.keys_installed.value();
+  s.auto_refreshes = c.auto_refreshes.value();
+  s.coalesced_views = c.coalesced_views.value();
+  s.dropped_early_ka = c.dropped_early_ka.value();
+  return s;
 }
 
 void SecureGroupClient::send(const gcs::GroupName& group, util::Bytes plaintext,
@@ -245,12 +270,7 @@ KaActions SecureGroupClient::run_module(GroupState& st, const gcs::GroupName& gr
     }
     span.end(std::move(args));
   }
-  if (delta.total() != 0) {
-    obs::MetricsRegistry::current()
-        .counter("secure.ka.mod_exps",
-                 {{"member", fm_.id().to_string()}, {"module", st.config.ka_module}})
-        .inc(delta.total());
-  }
+  st.counters.mod_exps.inc(delta.total());
   return actions;
 }
 
@@ -354,10 +374,10 @@ void SecureGroupClient::buffer_early_ka(GroupState& st, const gcs::Message& msg)
       std::max<std::size_t>(kEarlyUnicastWindow, 2 * st.view.members.size());
   st.ka_early.push_back(msg);
   if (st.ka_early.size() > cap) {
-    ++st.stats.dropped_early_ka;
+    st.counters.dropped_early_ka.inc();
     SS_LOG_WARN("secure", fm_.id().to_string(), " early-KA buffer full in ", msg.group,
                 ": evicted ", ka_phase_name(st.ka_early.front().msg_type),
-                " (dropped_early_ka=", st.stats.dropped_early_ka, ")");
+                " (dropped_early_ka=", st.counters.dropped_early_ka.value(), ")");
     st.ka_early.pop_front();
   }
 }
@@ -374,7 +394,7 @@ void SecureGroupClient::fold_into_batch(GroupState& st, const gcs::GroupView& vi
     st.batch_departed = view.left;
     return;
   }
-  ++st.stats.coalesced_views;
+  st.counters.coalesced_views.inc();
   KaMembershipEvent& ev = *st.pending_batch;
   ev.view = view;
   ++ev.coalesced;
@@ -620,12 +640,7 @@ void SecureGroupClient::finish_compute(const gcs::GroupName& group, std::uint64_
   }
   st.cpu_acc += static_cast<double>(stats.cpu_us) * 1e-6;
   st.exp_acc += stats.exps;
-  if (stats.exps.total() != 0) {
-    obs::MetricsRegistry::current()
-        .counter("secure.ka.mod_exps",
-                 {{"member", fm_.id().to_string()}, {"module", st.config.ka_module}})
-        .inc(stats.exps.total());
-  }
+  st.counters.mod_exps.inc(stats.exps.total());
   if (stats.failed) {
     SS_LOG_WARN("secure", "deferred key agreement step failed in ", group, ": ", stats.error);
     result = KaActions{};
@@ -659,7 +674,7 @@ void SecureGroupClient::apply_new_key(const gcs::GroupName& group, GroupState& s
   st.key_id = new_key_id;
   st.key_ready = true;
   ++st.epoch;
-  ++st.stats.rekeys;
+  st.counters.keys_installed.inc();
   if (gcs::ClientTrace* t = gcs::ClientTrace::global()) {
     t->on_key_installed(fm_.id(), group, st.epoch, st.key_id, st.view.view_id);
   }
@@ -679,9 +694,7 @@ void SecureGroupClient::apply_new_key(const gcs::GroupName& group, GroupState& s
                        {"group_size", stats.group_size},
                        {"mod_exps", stats.exps.total()},
                        {"cpu_us", static_cast<std::uint64_t>(stats.cpu_seconds * 1e6)}});
-    obs::MetricsRegistry::current()
-        .counter("secure.rekeys", {{"member", fm_.id().to_string()}})
-        .inc();
+    st.counters.rekeys.inc();
     if (on_rekey_) on_rekey_(group, stats);
   }
 
@@ -735,7 +748,7 @@ void SecureGroupClient::flush_outbox(const gcs::GroupName& group, GroupState& st
     if (!fm_.send(st.config.data_service, group, w.take_shared(), kSecureDataType)) {
       return;  // flushing: keep queued; the next key event retries
     }
-    ++st.stats.sealed;
+    st.counters.sealed.inc();
     st.outbox.pop_front();
   }
 }
@@ -751,7 +764,7 @@ void SecureGroupClient::deliver_ciphertext(GroupState& st, const gcs::Message& m
     app_type = static_cast<std::int16_t>(r.u16());
     sealed = r.bytes();
   } catch (const util::SerialError&) {
-    ++st.stats.dropped_undecodable;
+    st.counters.dropped_undecodable.inc();
     return;
   }
 
@@ -801,17 +814,17 @@ void SecureGroupClient::deliver_ciphertext(GroupState& st, const gcs::Message& m
                                   sig_binding(msg.group, key_id, msg.sender, app_type,
                                               out.plaintext),
                                   *sig)) {
-        ++st.stats.dropped_unauthentic;
+        st.counters.dropped_unauthentic.inc();
         SS_LOG_WARN("secure", "bad sender signature in ", msg.group, " from ",
                     msg.sender.to_string());
         return;
       }
       out.authenticated = true;
     }
-    ++st.stats.opened;
+    st.counters.opened.inc();
     if (on_message_) on_message_(out);
   } catch (const std::exception& e) {
-    ++st.stats.dropped_unauthentic;
+    st.counters.dropped_unauthentic.inc();
     SS_LOG_WARN("secure", "dropping unauthentic message in ", msg.group, ": ", e.what());
   }
 }

@@ -32,6 +32,7 @@
 #include "crypto/drbg.h"
 #include "crypto/exp_counter.h"
 #include "flush/flush.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "secure/cipher.h"
 #include "secure/ka_module.h"
@@ -74,7 +75,9 @@ struct SecureGroupConfig {
   runtime::Time rekey_batch_window = 0;
 };
 
-/// Per-group data-path counters.
+/// Per-group counters: a snapshot of one listed counter per field,
+/// secure.<field>{member=<id>} (`rekeys`, every key installed, is listed as
+/// secure.keys_installed).
 struct SecureGroupStats {
   std::uint64_t sealed = 0;            // messages encrypted and sent
   std::uint64_t opened = 0;            // messages authenticated and delivered
@@ -160,7 +163,29 @@ class SecureGroupClient {
   SecureGroupStats group_stats(const gcs::GroupName& group) const;
 
  private:
+  /// A group's counters, listed under {member=<id>}: one per SecureGroupStats
+  /// field, the rekeys reported through on_rekey (secure.rekeys; a key
+  /// installed by a refresh another member started is not one), and the
+  /// group's key-agreement exponentiations (secure.ka.mod_exps, also
+  /// labelled with the module).
+  struct GroupCounters {
+    GroupCounters(const std::string& member, const std::string& module);
+    obs::Counter sealed;
+    obs::Counter opened;
+    obs::Counter dropped_unauthentic;
+    obs::Counter dropped_undecodable;
+    obs::Counter keys_installed;  // SecureGroupStats::rekeys
+    obs::Counter auto_refreshes;
+    obs::Counter coalesced_views;
+    obs::Counter dropped_early_ka;
+    obs::Counter rekeys;
+    obs::Counter mod_exps;
+  };
+
   struct GroupState {
+    GroupState(const gcs::MemberId& self, const SecureGroupConfig& cfg)
+        : config(cfg), counters(self.to_string(), cfg.ka_module) {}
+
     SecureGroupConfig config;
     /// Shared: deferred-compute jobs capture the module so it outlives a
     /// group erase that races an in-flight step.
@@ -194,7 +219,7 @@ class SecureGroupClient {
     // closes it on leave/teardown.
     obs::SpanHandle rekey_span;
 
-    SecureGroupStats stats;
+    GroupCounters counters;
     runtime::TimerId refresh_timer = 0;
     bool refresh_timer_armed = false;
 

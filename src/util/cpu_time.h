@@ -6,7 +6,7 @@
 // the obs stopwatches, the bench drivers — reads this one function so they
 // all measure the same thing. It lives in util (the bottom layer) so both
 // the crypto and runtime layers can reach it without widening the layering
-// DAG; obs/clock.h forwards here for its historical callers.
+// DAG.
 #pragma once
 
 #include <ctime>

@@ -2,20 +2,11 @@
 
 namespace ss::util {
 
-namespace {
-MsgPathStats default_block;
-// Atomic so lane/worker threads read a coherent pointer; installs happen on
-// the main thread before threads start, but TSan sees the cross-thread read.
-std::atomic<MsgPathStats*> current_block{&default_block};
-}  // namespace
-
-MsgPathStats& msgpath() { return *current_block.load(std::memory_order_acquire); }
+MsgPathStats& msgpath() {
+  static MsgPathStats block;
+  return block;
+}
 
 void msgpath_reset() { msgpath() = MsgPathStats{}; }
-
-MsgPathStats* msgpath_install(MsgPathStats* block) {
-  return current_block.exchange(block != nullptr ? block : &default_block,
-                                std::memory_order_acq_rel);
-}
 
 }  // namespace ss::util

@@ -14,10 +14,9 @@
 // statistics — no ordering is required between fields, and relaxed
 // increments keep the serial totals byte-identical to the old plain ints.
 //
-// The accessor indirects through a current-block pointer so that a metrics
-// registry scope (obs::RegistryScope) can route the counters into its own
-// per-epoch block: tests and benchmarks get isolated counters without the
-// increment sites knowing anything about the registry.
+// There is exactly one block per process. Tests and benchmarks isolate
+// their epochs by resetting it (the test Cluster fixture does so when it is
+// constructed) or by diffing snapshots.
 #pragma once
 
 #include <atomic>
@@ -51,15 +50,10 @@ struct MsgPathStats {
   }
 };
 
-/// The current process-wide counter set (the built-in block unless a
-/// registry scope installed its own).
+/// The process-wide counter set.
 MsgPathStats& msgpath();
 
-/// Zeroes all counters of the current block (benchmark / test epochs).
+/// Zeroes all counters (benchmark / test epochs).
 void msgpath_reset();
-
-/// Redirects msgpath() to `block` (nullptr restores the built-in block);
-/// returns the previously installed block so scopes can nest.
-MsgPathStats* msgpath_install(MsgPathStats* block);
 
 }  // namespace ss::util

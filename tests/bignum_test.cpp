@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 #include "crypto/drbg.h"
 #include "crypto/exp_counter.h"
 
@@ -163,6 +166,12 @@ struct ModExpVector {
   const char* mod;
   const char* expected;
 };
+
+// A stable label instead of gtest's raw pointer bytes, which move with ASLR
+// and would rename the ctest-discovered tests on every build.
+void PrintTo(const ModExpVector& v, std::ostream* os) {
+  *os << std::strlen(v.mod) * 4 << "-bit modulus";
+}
 
 class ModExpKat : public ::testing::TestWithParam<ModExpVector> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "crypto/drbg.h"
 #include "util/bytes.h"
 
@@ -18,6 +20,10 @@ struct EcbVector {
   const char* plain;
   const char* cipher;
 };
+
+// A stable label instead of gtest's raw pointer bytes, which move with ASLR
+// and would rename the ctest-discovered tests on every build.
+void PrintTo(const EcbVector& v, std::ostream* os) { *os << "key " << v.key; }
 
 class BlowfishEcbKat : public ::testing::TestWithParam<EcbVector> {};
 

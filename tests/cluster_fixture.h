@@ -7,9 +7,14 @@
 // EVS/VS/key-consistency protocol invariants enforced automatically. The
 // checker's verdict is asserted in the Cluster destructor.
 //
-// Each Cluster also installs its own obs::MetricsRegistry (which carries the
-// process-wide msgpath counter block), so metrics recorded by one test can
-// never bleed into another's assertions.
+// Each Cluster also installs its own obs::MetricsRegistry before it builds
+// its daemons, so every component built against the cluster lists its
+// counters there (components bind to the registry current at their
+// construction), and it zeroes the process-wide util::msgpath() counters.
+// Metrics recorded by one test therefore never bleed into another's
+// assertions, even when the whole suite runs in one process. The registry
+// is declared before the daemons and outlives them; components a test
+// builds must be destroyed before its Cluster.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "obs/metrics.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
+#include "util/msgpath.h"
 
 namespace ss::testing {
 
@@ -68,6 +74,7 @@ class Cluster {
   explicit Cluster(std::size_t n, std::uint64_t seed = 42,
                    gcs::TimingConfig timing = {}, sim::LinkModel link = {})
       : net(sched, seed, link), trace_scope_(checker), metrics_scope_(metrics) {
+    util::msgpath_reset();
     std::vector<gcs::DaemonId> ids;
     for (std::size_t i = 0; i < n; ++i) ids.push_back(static_cast<gcs::DaemonId>(i));
     for (std::size_t i = 0; i < n; ++i) {
@@ -127,8 +134,8 @@ class Cluster {
 
   sim::Scheduler sched;
   sim::SimNetwork net;
-  /// Per-cluster metrics registry, installed process-wide for the cluster's
-  /// lifetime (tests assert on `metrics` without cross-test bleed).
+  /// Per-cluster metrics registry, current for the cluster's lifetime
+  /// (tests assert on `metrics` without cross-test bleed).
   obs::MetricsRegistry metrics;
   /// Protocol invariant checker fed by every client of this cluster.
   check::InvariantChecker checker;

@@ -2,6 +2,9 @@
 // KDF, plus the pi spigot that seeds Blowfish and the Oakley primes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 #include "crypto/hmac.h"
 #include "crypto/pi_spigot.h"
 #include "crypto/sha1.h"
@@ -19,6 +22,12 @@ struct Sha1Vector {
   const char* input;
   const char* digest;
 };
+
+// Without this gtest prints the raw pointer bytes, which move with ASLR and
+// so give the ctest-discovered test names a different spelling every build.
+void PrintTo(const Sha1Vector& v, std::ostream* os) {
+  *os << std::strlen(v.input) << "-byte message";
+}
 
 class Sha1Kat : public ::testing::TestWithParam<Sha1Vector> {};
 

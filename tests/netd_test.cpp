@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cliques/key_directory.h"
@@ -236,6 +238,29 @@ TEST_F(GateFixture, TwoClientsJoinExchangeAndLeave) {
     return ev.kind == netd::Client::Event::Kind::kView && ev.view.members.size() == 1 &&
            ev.view.reason == gcs::MembershipReason::kLeave;
   }));
+}
+
+TEST_F(GateFixture, ShortTimeoutReadsQueuedDelivery) {
+  netd::Client a;
+  a.connect(gate_ep_);
+  a.join("chat");
+  ASSERT_TRUE(pump(a, [&](const netd::Client::Event& ev) {
+    return ev.kind == netd::Client::Event::Kind::kView && ev.view.members.size() == 1;
+  }));
+  a.multicast(gcs::ServiceType::kFifo, "chat", 0, util::bytes_of("queued"));
+  // Let the self-delivery land in the client's socket before polling.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // A 1 ms wait rounds down to 0 ms of poll time; it must still read what
+  // is already queued rather than return empty-handed every time.
+  std::optional<netd::Client::Event> got;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!got && std::chrono::steady_clock::now() < give_up) {
+    got = a.next_event(std::chrono::milliseconds(1));
+    if (got && got->kind != netd::Client::Event::Kind::kMessage) got.reset();
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(util::string_of(got->message.payload), "queued");
 }
 
 TEST_F(GateFixture, DroppedConnectionSurfacesAsDisconnect) {

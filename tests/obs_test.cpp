@@ -1,11 +1,12 @@
-// Tests for the observability subsystem: metrics registry math and scoping,
-// the two-clock stopwatches, the JSON round trip, TraceSink span balance,
-// and a golden end-to-end trace of a live cluster running membership churn
-// and secure-group rekeys.
+// Tests for the observability subsystem: metrics registry math, scoping and
+// the counter listing contract, the two-clock stopwatches, the JSON round
+// trip, TraceSink span balance, and a golden end-to-end trace of a live
+// cluster running membership churn and secure-group rekeys.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "obs/trace.h"
 #include "secure/secure_client.h"
 #include "tests/cluster_fixture.h"
-#include "util/msgpath.h"
 
 namespace ss::obs {
 namespace {
@@ -73,21 +73,14 @@ TEST(ObsHistogram, SingleValueAllPercentiles) {
   EXPECT_DOUBLE_EQ(h.percentile(100), 42.0);
 }
 
-TEST(ObsHistogram, ResetZeroes) {
-  Histogram h({1, 2});
-  h.observe(1.5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  for (std::uint64_t b : h.buckets()) EXPECT_EQ(b, 0u);
-}
-
 // --- registry -----------------------------------------------------------------
 
 TEST(ObsRegistry, LabelScopingSeparatesSeries) {
   MetricsRegistry reg;
-  reg.counter("gcs.daemon.views_installed", {{"daemon", "0"}}).inc(3);
-  reg.counter("gcs.daemon.views_installed", {{"daemon", "1"}}).inc(4);
+  Counter d0(reg, "gcs.daemon.views_installed", {{"daemon", "0"}});
+  Counter d1(reg, "gcs.daemon.views_installed", {{"daemon", "1"}});
+  d0.inc(3);
+  d1.inc(4);
 
   EXPECT_EQ(reg.counter_value("gcs.daemon.views_installed", {{"daemon", "0"}}), 3u);
   EXPECT_EQ(reg.counter_value("gcs.daemon.views_installed", {{"daemon", "1"}}), 4u);
@@ -97,32 +90,19 @@ TEST(ObsRegistry, LabelScopingSeparatesSeries) {
 
 TEST(ObsRegistry, LabelOrderIsCanonicalized) {
   MetricsRegistry reg;
-  reg.counter("m", {{"a", "1"}, {"b", "2"}}).inc();
-  reg.counter("m", {{"b", "2"}, {"a", "1"}}).inc();
+  Counter ab(reg, "m", {{"a", "1"}, {"b", "2"}});
+  Counter ba(reg, "m", {{"b", "2"}, {"a", "1"}});
+  ab.inc();
+  ba.inc();
   EXPECT_EQ(reg.counter_value("m", {{"b", "2"}, {"a", "1"}}), 2u);
 }
 
-TEST(ObsRegistry, HandlesAreStableAcrossReset) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("x");
-  Histogram& h = reg.histogram("y", {1, 2, 3});
-  c.inc(9);
-  h.observe(2);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.inc();  // the same handle keeps working
-  EXPECT_EQ(reg.counter_value("x"), 1u);
-}
-
-TEST(ObsRegistry, GenerationsAreUnique) {
+TEST(ObsRegistry, ScopesNest) {
   MetricsRegistry a;
   MetricsRegistry b;
-  EXPECT_NE(a.generation(), b.generation());
   {
     RegistryScope scope(a);
     EXPECT_EQ(&MetricsRegistry::current(), &a);
-    EXPECT_EQ(MetricsRegistry::current_generation(), a.generation());
     {
       RegistryScope inner(b);
       EXPECT_EQ(&MetricsRegistry::current(), &b);
@@ -132,26 +112,83 @@ TEST(ObsRegistry, GenerationsAreUnique) {
   EXPECT_NE(&MetricsRegistry::current(), &a);
 }
 
-TEST(ObsRegistry, ScopeRoutesMsgPathCounters) {
-  const std::uint64_t default_copies = util::msgpath().payload_copies;
-  {
-    MetricsRegistry reg;
-    RegistryScope scope(reg);
-    util::msgpath().payload_copies += 7;
-    EXPECT_EQ(reg.data_path().payload_copies, 7u);
-  }
-  // The scope restored the previous block: the bump never reached it.
-  EXPECT_EQ(util::msgpath().payload_copies, default_copies);
-}
-
 TEST(ObsRegistry, RenderTextListsMetrics) {
   MetricsRegistry reg;
-  reg.counter("gcs.z", {{"daemon", "1"}}).inc(5);
+  Counter z(reg, "gcs.z", {{"daemon", "1"}});
+  z.inc(5);
   reg.histogram("lat", {10, 100}).observe(50);
   const std::string text = reg.render_text();
-  EXPECT_NE(text.find("gcs.z"), std::string::npos);
-  EXPECT_NE(text.find("daemon=1"), std::string::npos);
+  EXPECT_NE(text.find("gcs.z{daemon=1} 5"), std::string::npos);
   EXPECT_NE(text.find("lat"), std::string::npos);
+}
+
+// --- the listing contract: components own their counters ----------------------
+
+/// A one-daemon sim cluster. Every LoneDaemon's daemon has id 0, so two of
+/// them list their counters under the same gcs.daemon.*{daemon=0} keys.
+struct LoneDaemon {
+  LoneDaemon() {
+    net.add_node(&daemon);
+    daemon.start();  // installs a singleton view
+  }
+  /// Installs one more singleton view.
+  void restart() {
+    daemon.stop();
+    daemon.start();
+  }
+
+  sim::Scheduler sched;
+  sim::SimNetwork net{sched, 1};
+  gcs::Daemon daemon{runtime::Env{&sched, &net, 0}, {0}, gcs::TimingConfig{}, 1};
+};
+
+std::uint64_t views_series(const MetricsRegistry& reg) {
+  return reg.counter_value("gcs.daemon.views_installed", {{"daemon", "0"}});
+}
+
+TEST(ObsRegistry, LiveComponentsUnderOneKeyAddUp) {
+  MetricsRegistry reg;
+  RegistryScope scope(reg);
+  LoneDaemon a;
+  LoneDaemon b;
+  b.restart();
+  // Each accessor counts only its own daemon's events...
+  EXPECT_EQ(a.daemon.stats().views_installed, 1u);
+  EXPECT_EQ(b.daemon.stats().views_installed, 2u);
+  // ...and the series they share holds the sum.
+  EXPECT_EQ(views_series(reg), 3u);
+  EXPECT_EQ(reg.counter_sum("gcs.daemon.views_installed"), 3u);
+}
+
+TEST(ObsRegistry, DestroyedComponentStaysInSeries) {
+  MetricsRegistry reg;
+  RegistryScope scope(reg);
+  {
+    LoneDaemon gone;
+    gone.restart();
+  }
+  EXPECT_EQ(views_series(reg), 2u);
+  EXPECT_NE(reg.render_text().find("gcs.daemon.views_installed{daemon=0} 2"),
+            std::string::npos);
+  // A successor under the same key starts its own count; the series goes on.
+  LoneDaemon next;
+  EXPECT_EQ(next.daemon.stats().views_installed, 1u);
+  EXPECT_EQ(views_series(reg), 3u);
+}
+
+TEST(ObsRegistry, ComponentKeepsCountingIntoItsRegistryAfterScopePops) {
+  MetricsRegistry built_under;
+  MetricsRegistry later;
+  RegistryScope later_scope(later);
+  std::optional<LoneDaemon> d;
+  {
+    RegistryScope scope(built_under);
+    d.emplace();
+  }
+  ASSERT_EQ(&MetricsRegistry::current(), &later);
+  d->restart();  // counted after the scope popped
+  EXPECT_EQ(views_series(built_under), 2u);
+  EXPECT_EQ(views_series(later), 0u);
 }
 
 // --- stopwatches --------------------------------------------------------------
@@ -410,8 +447,7 @@ TEST(ObsGoldenTrace, ClusterChurnProducesWellFormedTrace) {
           c.metrics.counter_value("gcs.daemon.messages_delivered", labels));
     }
 
-    // Registry counters must mirror the plain struct counters exactly (the
-    // accessors keep their pre-registry values; dual-write contract).
+    // One daemon per label set: each accessor equals its series exactly.
     EXPECT_EQ(metric_views, stats_views);
     EXPECT_EQ(metric_delivered, stats_delivered);
     EXPECT_EQ(c.metrics.counter_sum("secure.rekeys"), rekeys.size());

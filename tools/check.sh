@@ -6,7 +6,10 @@
 #   tools/check.sh plain asan   run only the named stages
 #
 # Stages:
-#   plain  RelWithDebInfo, promoted warnings as errors (SS_WERROR=ON)
+#   plain  RelWithDebInfo, promoted warnings as errors (SS_WERROR=ON); after
+#          ctest (one process per test) the suite runs once more as a single
+#          ss_tests process, so state that bleeds from one test into the
+#          next (metrics, msgpath counters, process-wide hooks) fails it
 #   asan   AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan   ThreadSanitizer over the full suite (the realtime backend runs
 #          N event lanes plus a crypto worker pool; this is the primary
@@ -17,11 +20,13 @@
 #          degrade to a no-op)
 #   bench  data-path smoke test: builds and runs bench_msg_path once (the
 #          binary self-asserts the zero-copy contract: 0 payload copies per
-#          local multicast, <= 1 across daemons), then bench_parallel_rekey
-#          against the recorded BENCH_rekey.json baseline (exponentiation
-#          counts must match within 10% — a drift means the rekey protocol
-#          started doing more or less crypto work; latency has a loose 30x
-#          band so shared CI boxes don't flake), then bench_ablation_rekey
+#          local multicast, <= 1 across daemons, and with --baseline every
+#          scenario counter must equal BENCH_msgpath.json exactly), then
+#          bench_parallel_rekey against the recorded BENCH_rekey.json
+#          baseline (exponentiation counts must match within 10% — a drift
+#          means the rekey protocol started doing more or less crypto work;
+#          latency has a loose 30x band so shared CI boxes don't flake),
+#          then bench_ablation_rekey
 #          (cliques vs CKD vs TGDH at n=50,500 against
 #          BENCH_rekey_ablation.json, asserting TGDH stays O(log n) per
 #          member while Cliques' controller is O(n)); any binary exiting
@@ -59,13 +64,20 @@ STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && STAGES=(plain asan tsan tidy lint bench obs netd rt)
 FAILED=()
 
+# The plain stage's single-process pass (see the stage list above).
+single_process() {
+  local name=$1 dir=$2
+  [ "$name" != plain ] || "./$dir/tests/ss_tests" --gtest_brief=1
+}
+
 run_stage() {
   local name=$1 dir=$2
   shift 2
   echo "==== stage: $name ===="
   if cmake -B "$dir" -S . "$@" \
       && cmake --build "$dir" -j "$JOBS" \
-      && ctest --test-dir "$dir" --output-on-failure -j "$JOBS"; then
+      && ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+      && single_process "$name" "$dir"; then
     echo "==== stage $name: OK ===="
   else
     echo "==== stage $name: FAILED ===="
@@ -120,7 +132,7 @@ for stage in "${STAGES[@]}"; do
           && cmake --build build-check \
               --target bench_msg_path bench_parallel_rekey bench_ablation_rekey \
               -j "$JOBS" \
-          && ./build-check/bench/bench_msg_path > /dev/null \
+          && ./build-check/bench/bench_msg_path --baseline BENCH_msgpath.json > /dev/null \
           && ./build-check/bench/bench_parallel_rekey \
               --baseline BENCH_rekey.json > /dev/null \
           && ./build-check/bench/bench_ablation_rekey \
