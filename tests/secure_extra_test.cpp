@@ -171,6 +171,52 @@ TEST_F(SecureExtra, RejoinAfterLeaveGetsFreshState) {
   EXPECT_EQ(a.key_material("g", 16), b.key_material("g", 16));
 }
 
+TEST_F(SecureExtra, LeaveThenImmediateRejoinEndsKeyed) {
+  // The rejoin races the self-leave view of the incarnation that left: that
+  // view must end only the old incarnation, not the one join() just made.
+  for (const std::string ka : {"cliques", "ckd", "tgdh"}) {
+    SCOPED_TRACE(ka);
+    const GroupName g = "rejoin-" + ka;
+    SecureGroupClient a(*c.daemons[0], dir, 1);
+    SecureGroupClient b(*c.daemons[1], dir, 2);
+    a.join(g, cfg(ka));
+    b.join(g, cfg(ka));
+    ASSERT_TRUE(c.run_until([&] { return a.has_key(g) && b.has_key(g); }, 5 * sim::kSecond));
+    b.leave(g);
+    b.join(g, cfg(ka));
+    ASSERT_TRUE(c.run_until(
+        [&] {
+          const auto* v = b.current_view(g);
+          return v != nullptr && v->members.size() == 2 && a.has_key(g) && b.has_key(g);
+        },
+        10 * sim::kSecond));
+    EXPECT_EQ(a.key_material(g, 16), b.key_material(g, 16));
+  }
+}
+
+TEST_F(SecureExtra, RepeatedJoinKeepsLiveState) {
+  SecureGroupClient a(*c.daemons[0], dir, 1);
+  SecureGroupClient b(*c.daemons[1], dir, 2);
+  SecureGroupConfig config = cfg();
+  config.auto_refresh_interval = 100 * sim::kMillisecond;
+  a.join("g", config);
+  b.join("g", cfg());
+  ASSERT_TRUE(c.run_until([&] { return a.has_key("g") && b.has_key("g"); }, 5 * sim::kSecond));
+  // The daemon ignores a duplicate join, so no view would rebuild state a
+  // second join threw away.
+  a.join("g", config);
+  const std::uint64_t refreshes = a.group_stats("g").auto_refreshes;
+  c.run_for(sim::kSecond);
+  // One refresh timer chain: at most one refresh per 100 ms.
+  EXPECT_LE(a.group_stats("g").auto_refreshes - refreshes, 11u);
+  ASSERT_TRUE(c.run_until(
+      [&] {
+        return a.has_key("g") && b.has_key("g") &&
+               a.key_material("g", 16) == b.key_material("g", 16);
+      },
+      sim::kSecond));
+}
+
 TEST_F(SecureExtra, UnknownGroupOperationsAreSafe) {
   SecureGroupClient a(*c.daemons[0], dir, 1);
   EXPECT_THROW(a.send("nope", bytes_of("x")), std::logic_error);
