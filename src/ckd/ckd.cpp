@@ -5,73 +5,12 @@
 
 #include "crypto/exp_counter.h"
 #include "crypto/hmac.h"
-#include "util/serial.h"
 
 namespace ss::ckd {
 
 using crypto::Bignum;
 using crypto::ExpPurpose;
 using crypto::ExpPurposeScope;
-
-namespace {
-
-void encode_bignum(util::Writer& w, const Bignum& v) { w.bytes(v.to_bytes()); }
-Bignum decode_bignum(util::Reader& r) { return Bignum::from_bytes(r.bytes()); }
-
-}  // namespace
-
-util::Bytes CkdRound1Msg::encode() const {
-  util::Writer w;
-  controller.encode(w);
-  encode_bignum(w, value);
-  return w.take();
-}
-
-CkdRound1Msg CkdRound1Msg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  CkdRound1Msg m;
-  m.controller = MemberId::decode(r);
-  m.value = decode_bignum(r);
-  return m;
-}
-
-util::Bytes CkdRound2Msg::encode() const {
-  util::Writer w;
-  member.encode(w);
-  encode_bignum(w, value);
-  return w.take();
-}
-
-CkdRound2Msg CkdRound2Msg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  CkdRound2Msg m;
-  m.member = MemberId::decode(r);
-  m.value = decode_bignum(r);
-  return m;
-}
-
-util::Bytes CkdKeyDistMsg::encode() const {
-  util::Writer w;
-  controller.encode(w);
-  w.u32(static_cast<std::uint32_t>(encrypted_keys.size()));
-  for (const auto& [m, v] : encrypted_keys) {
-    m.encode(w);
-    encode_bignum(w, v);
-  }
-  return w.take();
-}
-
-CkdKeyDistMsg CkdKeyDistMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  CkdKeyDistMsg m;
-  m.controller = MemberId::decode(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    MemberId member = MemberId::decode(r);
-    m.encrypted_keys.emplace_back(member, decode_bignum(r));
-  }
-  return m;
-}
 
 CkdContext::CkdContext(const crypto::DhGroup& dh, KeyDirectory& directory, const MemberId& self,
                        crypto::RandomSource& rnd)

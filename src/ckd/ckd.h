@@ -32,7 +32,7 @@
 #include "crypto/exp_counter.h"
 #include "gcs/types.h"
 #include "util/bytes.h"
-#include "util/shared_bytes.h"
+#include "util/serial.h"
 
 namespace ss::ckd {
 
@@ -44,8 +44,11 @@ struct CkdRound1Msg {
   MemberId controller;
   crypto::Bignum value;
 
-  util::Bytes encode() const;
-  static CkdRound1Msg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(controller, value);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Round 2: member -> controller. alpha^{ri * K1i}.
@@ -53,8 +56,11 @@ struct CkdRound2Msg {
   MemberId member;
   crypto::Bignum value;
 
-  util::Bytes encode() const;
-  static CkdRound2Msg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(member, value);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Round 3: controller -> group. Per-member Ks^{alpha^{r1 ri}}.
@@ -62,8 +68,11 @@ struct CkdKeyDistMsg {
   MemberId controller;
   std::vector<std::pair<MemberId, crypto::Bignum>> encrypted_keys;
 
-  util::Bytes encode() const;
-  static CkdKeyDistMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(controller, encrypted_keys);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 class CkdContext {

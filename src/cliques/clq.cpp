@@ -5,131 +5,12 @@
 
 #include "crypto/exp_counter.h"
 #include "crypto/hmac.h"
-#include "util/serial.h"
 
 namespace ss::cliques {
 
 using crypto::Bignum;
 using crypto::ExpPurpose;
 using crypto::ExpPurposeScope;
-
-namespace {
-
-void encode_bignum(util::Writer& w, const Bignum& v) { w.bytes(v.to_bytes()); }
-Bignum decode_bignum(util::Reader& r) { return Bignum::from_bytes(r.bytes()); }
-
-void encode_member_list(util::Writer& w, const std::vector<MemberId>& members) {
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (const auto& m : members) m.encode(w);
-}
-
-std::vector<MemberId> decode_member_list(util::Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<MemberId> out;
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(MemberId::decode(r));
-  return out;
-}
-
-}  // namespace
-
-void ClqEntry::encode(util::Writer& w) const {
-  member.encode(w);
-  encode_member_list(w, chain);
-  encode_bignum(w, value);
-}
-
-ClqEntry ClqEntry::decode(util::Reader& r) {
-  ClqEntry e;
-  e.member = MemberId::decode(r);
-  e.chain = decode_member_list(r);
-  e.value = decode_bignum(r);
-  return e;
-}
-
-util::Bytes ClqHandoffMsg::encode() const {
-  util::Writer w;
-  old_controller.encode(w);
-  new_member.encode(w);
-  w.u32(static_cast<std::uint32_t>(partials.size()));
-  for (const auto& e : partials) e.encode(w);
-  encode_bignum(w, group_element);
-  return w.take();
-}
-
-ClqHandoffMsg ClqHandoffMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  ClqHandoffMsg m;
-  m.old_controller = MemberId::decode(r);
-  m.new_member = MemberId::decode(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) m.partials.push_back(ClqEntry::decode(r));
-  m.group_element = decode_bignum(r);
-  return m;
-}
-
-util::Bytes ClqBroadcastMsg::encode() const {
-  util::Writer w;
-  controller.encode(w);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) e.encode(w);
-  return w.take();
-}
-
-ClqBroadcastMsg ClqBroadcastMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  ClqBroadcastMsg m;
-  m.controller = MemberId::decode(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) m.entries.push_back(ClqEntry::decode(r));
-  return m;
-}
-
-util::Bytes ClqMergeChainMsg::encode() const {
-  util::Writer w;
-  from.encode(w);
-  encode_member_list(w, pending);
-  encode_bignum(w, value);
-  return w.take();
-}
-
-ClqMergeChainMsg ClqMergeChainMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  ClqMergeChainMsg m;
-  m.from = MemberId::decode(r);
-  m.pending = decode_member_list(r);
-  m.value = decode_bignum(r);
-  return m;
-}
-
-util::Bytes ClqMergePartialMsg::encode() const {
-  util::Writer w;
-  new_controller.encode(w);
-  encode_bignum(w, value);
-  return w.take();
-}
-
-ClqMergePartialMsg ClqMergePartialMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  ClqMergePartialMsg m;
-  m.new_controller = MemberId::decode(r);
-  m.value = decode_bignum(r);
-  return m;
-}
-
-util::Bytes ClqFactorOutMsg::encode() const {
-  util::Writer w;
-  member.encode(w);
-  encode_bignum(w, value);
-  return w.take();
-}
-
-ClqFactorOutMsg ClqFactorOutMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  ClqFactorOutMsg m;
-  m.member = MemberId::decode(r);
-  m.value = decode_bignum(r);
-  return m;
-}
 
 // --- context ------------------------------------------------------------------
 

@@ -48,7 +48,7 @@
 #include "crypto/dh.h"
 #include "gcs/types.h"
 #include "util/bytes.h"
-#include "util/shared_bytes.h"
+#include "util/serial.h"
 
 namespace ss::cliques {
 
@@ -62,8 +62,10 @@ struct ClqEntry {
   std::vector<MemberId> chain;
   crypto::Bignum value;
 
-  void encode(util::Writer& w) const;
-  static ClqEntry decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(member, chain, value);
+  }
 };
 
 /// Join step 1: old controller -> joining member (unicast). All values are
@@ -76,8 +78,11 @@ struct ClqHandoffMsg {
   /// (updated group secret)^{Kt}: the joiner's own base.
   crypto::Bignum group_element;
 
-  util::Bytes encode() const;
-  static ClqHandoffMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(old_controller, new_member, partials, group_element);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Final broadcast of join/leave/refresh/merge.
@@ -86,8 +91,11 @@ struct ClqBroadcastMsg {
   MemberId controller;
   std::vector<ClqEntry> entries;
 
-  util::Bytes encode() const;
-  static ClqBroadcastMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(controller, entries);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Merge steps 1-2: value accumulating shares along the chain of new
@@ -98,8 +106,11 @@ struct ClqMergeChainMsg {
   std::vector<MemberId> pending;
   crypto::Bignum value;
 
-  util::Bytes encode() const;
-  static ClqMergeChainMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(from, pending, value);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Merge step 3: the partial group secret broadcast by the last new member.
@@ -107,8 +118,11 @@ struct ClqMergePartialMsg {
   MemberId new_controller;
   crypto::Bignum value;  // unblinded accumulated partial
 
-  util::Bytes encode() const;
-  static ClqMergePartialMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(new_controller, value);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Merge step 4: member -> new controller (unicast), own share factored out,
@@ -117,8 +131,11 @@ struct ClqFactorOutMsg {
   MemberId member;
   crypto::Bignum value;
 
-  util::Bytes encode() const;
-  static ClqFactorOutMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(member, value);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// One member's view of the group key agreement. One context per (member,

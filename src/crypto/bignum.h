@@ -46,6 +46,17 @@ class Bignum {
   util::Bytes to_bytes() const;
   /// Big-endian, left-padded to exactly `len` bytes. Throws if it won't fit.
   util::Bytes to_bytes_padded(std::size_t len) const;
+  /// Wire field list (util/serial.h): to_bytes() as a length-prefixed string.
+  template <class S>
+  void fields(S& s) {
+    if constexpr (S::kDecoding) {
+      util::Bytes b;
+      s(b);
+      *this = from_bytes(b);
+    } else {
+      s(to_bytes());
+    }
+  }
 
   bool is_zero() const { return limbs_.empty(); }
   bool is_odd() const { return !limbs_.empty() && (limbs_[0] & 1u) != 0; }

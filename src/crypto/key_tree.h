@@ -31,6 +31,10 @@ struct KeyTreeNodeId {
   std::uint64_t path = 0;
 
   friend auto operator<=>(const KeyTreeNodeId&, const KeyTreeNodeId&) = default;
+  template <class S>
+  void fields(S& s) {
+    s(depth, path);
+  }
 };
 
 class KeyTree {

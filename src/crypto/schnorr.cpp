@@ -26,21 +26,6 @@ Bignum challenge_of(const DhGroup& group, const Bignum& r, const Bignum& y,
 
 }  // namespace
 
-util::Bytes SchnorrSignature::encode() const {
-  util::Writer w;
-  w.bytes(challenge.to_bytes());
-  w.bytes(response.to_bytes());
-  return w.take();
-}
-
-SchnorrSignature SchnorrSignature::decode(const util::Bytes& raw) {
-  util::Reader r(raw);
-  SchnorrSignature sig;
-  sig.challenge = Bignum::from_bytes(r.bytes());
-  sig.response = Bignum::from_bytes(r.bytes());
-  return sig;
-}
-
 SchnorrSignature schnorr_sign(const DhGroup& group, const Bignum& x, const Bignum& y,
                               const util::Bytes& message, RandomSource& rnd) {
   const Bignum k = group.random_share(rnd);

@@ -15,6 +15,7 @@
 #include "crypto/bignum.h"
 #include "crypto/dh.h"
 #include "util/bytes.h"
+#include "util/serial.h"
 
 namespace ss::crypto {
 
@@ -22,8 +23,11 @@ struct SchnorrSignature {
   Bignum challenge;  // e
   Bignum response;   // s
 
-  util::Bytes encode() const;
-  static SchnorrSignature decode(const util::Bytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(challenge, response);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Signs `message` with secret exponent x (in [1, q-1]) and its public

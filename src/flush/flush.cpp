@@ -5,34 +5,6 @@
 
 namespace ss::flush {
 
-namespace {
-
-util::SharedBytes wrap_data(const gcs::GroupViewId& vid, std::int16_t app_type,
-                            const util::SharedBytes& payload) {
-  util::Writer w;
-  vid.encode(w);
-  w.u16(static_cast<std::uint16_t>(app_type));
-  w.payload(payload);  // chained, gathered once in take_shared()
-  return w.take_shared();
-}
-
-struct Unwrapped {
-  gcs::GroupViewId vid;
-  std::int16_t app_type;
-  util::SharedBytes payload;
-};
-
-Unwrapped unwrap_data(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  Unwrapped u;
-  u.vid = gcs::GroupViewId::decode(r);
-  u.app_type = static_cast<std::int16_t>(r.u16());
-  u.payload = r.payload();  // zero-copy slice of the delivered block
-  return u;
-}
-
-}  // namespace
-
 FlushMailbox::FlushMailbox(gcs::Daemon& daemon)
     : mbox_(daemon), rounds_completed_("flush.rounds_completed", {{"member", id().to_string()}}) {
   mbox_.on_view([this](const gcs::GroupView& v) { handle_raw_view(v); });
@@ -64,7 +36,10 @@ bool FlushMailbox::send(gcs::ServiceType service, const gcs::GroupName& group,
   if (msg_type <= kFlushReservedType) return false;  // reserved range
   auto it = state_.find(group);
   if (it == state_.end() || !it->second.has_view || it->second.is_flushing) return false;
-  mbox_.multicast(service, group, wrap_data(it->second.current.view_id, msg_type, payload),
+  // The payload is chained, then gathered once with the envelope.
+  mbox_.multicast(service, group,
+                  util::encode_shared(
+                      DataEnvelope{it->second.current.view_id, msg_type, std::move(payload)}),
                   kFlushDataType);
   return true;
 }
@@ -82,8 +57,6 @@ void FlushMailbox::flush_ok(const gcs::GroupName& group) {
 
 void FlushMailbox::send_flush_ok(const gcs::GroupName& group, GroupState& st) {
   st.sent_ok = true;
-  util::Writer w;
-  st.pending.view_id.encode(w);
   // Agreed, not FIFO: the daemon addresses multicasts to the group
   // membership it holds when it *delivers* them, and FIFO delivery can
   // overtake the agreed stream. A FIFO marker racing ahead of a pending
@@ -93,7 +66,8 @@ void FlushMailbox::send_flush_ok(const gcs::GroupName& group, GroupState& st) {
   // daemon agreed-delivered the change creating the pending view, so the
   // sequencer stamped the change first; in the total order every marker
   // therefore follows the change and reaches the new member too.
-  mbox_.multicast(gcs::ServiceType::kAgreed, group, w.take(), kFlushOkType);
+  mbox_.multicast(gcs::ServiceType::kAgreed, group, util::encode(st.pending.view_id),
+                  kFlushOkType);
 }
 
 void FlushMailbox::handle_raw_view(const gcs::GroupView& view) {
@@ -140,8 +114,7 @@ void FlushMailbox::handle_raw_message(const gcs::Message& msg) {
   if (msg.msg_type == kFlushOkType) {
     gcs::GroupViewId vid;
     try {
-      util::Reader r(msg.payload);
-      vid = gcs::GroupViewId::decode(r);
+      vid = util::decode<gcs::GroupViewId>(msg.payload);
     } catch (const util::SerialError&) {
       return;
     }
@@ -162,9 +135,9 @@ void FlushMailbox::handle_raw_message(const gcs::Message& msg) {
     return;
   }
 
-  Unwrapped u;
+  DataEnvelope u;
   try {
-    u = unwrap_data(msg.payload);
+    u = util::decode<DataEnvelope>(msg.payload);  // payload: a zero-copy slice
   } catch (const util::SerialError&) {
     return;
   }

@@ -44,6 +44,20 @@ constexpr std::int16_t kFlushReservedType = -32000;
 constexpr std::int16_t kFlushOkType = -32001;
 constexpr std::int16_t kFlushDataType = -32002;
 
+/// A kFlushDataType body: the view the sender was in (the VS tag), the
+/// application's message type and its payload. A kFlushOkType body is the
+/// acknowledged view's gcs::GroupViewId alone.
+struct DataEnvelope {
+  gcs::GroupViewId vid;
+  std::int16_t app_type = 0;
+  util::SharedBytes payload;
+
+  template <class S>
+  void fields(S& s) {
+    s(vid, app_type, payload);
+  }
+};
+
 class FlushMailbox {
  public:
   using MessageFn = std::function<void(const gcs::Message&)>;

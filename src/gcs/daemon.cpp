@@ -45,8 +45,7 @@ void Daemon::start() {
         *key_store_, self_, rng_.next(),
         [this](DaemonId to, const util::Bytes& body) {
           links_->send(to, frame(MsgType::kDaemonKeyDist, body));
-        },
-        compute_);
+        });
   }
   fd_ = std::make_unique<FailureDetector>(clock_, timing_, self_, configured_,
                                           [this] { on_fd_change(); });
@@ -156,10 +155,9 @@ void Daemon::handle_message(DaemonId from, const util::SharedBytes& raw) {
   if (state_ == DState::kDown) return;
   try {
     auto [type, body] = unframe(raw);
-    util::Reader r(body);
     switch (type) {
       case MsgType::kHeartbeat: {
-        const HeartbeatMsg m = HeartbeatMsg::decode(r);
+        const auto m = util::decode<HeartbeatMsg>(body);
         max_round_seen_ = std::max(max_round_seen_, m.view.round);
         // Stability input for SAFE delivery.
         auto it = contexts_.find(view_id_);
@@ -176,34 +174,34 @@ void Daemon::handle_message(DaemonId from, const util::SharedBytes& raw) {
         break;
       }
       case MsgType::kGatherAnnounce:
-        on_gather_announce(from, GatherAnnounceMsg::decode(r));
+        on_gather_announce(from, util::decode<GatherAnnounceMsg>(body));
         break;
       case MsgType::kProposal:
-        on_proposal(from, ProposalMsg::decode(r));
+        on_proposal(from, util::decode<ProposalMsg>(body));
         break;
       case MsgType::kStateExchange:
-        on_state_exchange(from, StateExchangeMsg::decode(r));
+        on_state_exchange(from, util::decode<StateExchangeMsg>(body));
         break;
       case MsgType::kInstall:
-        on_install(from, InstallMsg::decode(r));
+        on_install(from, util::decode<InstallMsg>(body));
         break;
       case MsgType::kRetransReq:
-        on_retrans_req(from, RetransReqMsg::decode(r));
+        on_retrans_req(from, util::decode<RetransReqMsg>(body));
         break;
       case MsgType::kRetransData:
-        on_retrans_data(from, RetransDataMsg::decode(r));
+        on_retrans_data(from, util::decode<RetransDataMsg>(body));
         break;
       case MsgType::kData:
-        on_data(DataMsg::decode(r));
+        on_data(util::decode<DataMsg>(body));
         break;
       case MsgType::kOrderStamp:
-        on_order_stamp(OrderStampMsg::decode(r));
+        on_order_stamp(util::decode<OrderStampMsg>(body));
         break;
       case MsgType::kDaemonKeyDist:
-        if (key_agent_) key_agent_->on_key_dist(from, r.rest());
+        if (key_agent_) key_agent_->on_key_dist(from, body);
         break;
       case MsgType::kUnicast: {
-        UnicastMsg m = UnicastMsg::decode(r);
+        auto m = util::decode<UnicastMsg>(body);
         auto it = clients_.find(m.to.client);
         if (m.to.daemon == self_ && it != clients_.end() && it->second.connected) {
           Message out;

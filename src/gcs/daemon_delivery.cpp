@@ -232,8 +232,7 @@ void Daemon::deliver_now(ViewContext& ctx, StoredMsg& sm) {
 void Daemon::apply_group_change(const DataMsg& m) {
   GroupChangeMsg change;
   try {
-    util::Reader r(m.payload);
-    change = GroupChangeMsg::decode(r);
+    change = util::decode<GroupChangeMsg>(m.payload);
   } catch (const util::SerialError&) {
     return;
   }

@@ -11,52 +11,16 @@ std::string MemberId::to_string() const {
   return os.str();
 }
 
-void MemberId::encode(util::Writer& w) const {
-  w.u32(daemon);
-  w.u32(client);
-}
-
-MemberId MemberId::decode(util::Reader& r) {
-  MemberId m;
-  m.daemon = r.u32();
-  m.client = r.u32();
-  return m;
-}
-
 std::string ViewId::to_string() const {
   std::ostringstream os;
   os << "v" << round << "." << coordinator;
   return os.str();
 }
 
-void ViewId::encode(util::Writer& w) const {
-  w.u64(round);
-  w.u32(coordinator);
-}
-
-ViewId ViewId::decode(util::Reader& r) {
-  ViewId v;
-  v.round = r.u64();
-  v.coordinator = r.u32();
-  return v;
-}
-
 std::string GroupViewId::to_string() const {
   std::ostringstream os;
   os << daemon_view.to_string() << "/" << change_seq;
   return os.str();
-}
-
-void GroupViewId::encode(util::Writer& w) const {
-  daemon_view.encode(w);
-  w.u64(change_seq);
-}
-
-GroupViewId GroupViewId::decode(util::Reader& r) {
-  GroupViewId g;
-  g.daemon_view = ViewId::decode(r);
-  g.change_seq = r.u64();
-  return g;
 }
 
 std::string to_string(MembershipReason reason) {

@@ -27,8 +27,10 @@ struct MemberId {
   friend auto operator<=>(const MemberId&, const MemberId&) = default;
 
   std::string to_string() const;
-  void encode(util::Writer& w) const;
-  static MemberId decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(daemon, client);
+  }
 };
 
 /// Identifier of an installed daemon-level configuration (EVS view).
@@ -41,8 +43,10 @@ struct ViewId {
   friend auto operator<=>(const ViewId&, const ViewId&) = default;
 
   std::string to_string() const;
-  void encode(util::Writer& w) const;
-  static ViewId decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(round, coordinator);
+  }
 };
 
 /// Identifier of a lightweight group view. Orders lexicographically:
@@ -55,8 +59,10 @@ struct GroupViewId {
   friend auto operator<=>(const GroupViewId&, const GroupViewId&) = default;
 
   std::string to_string() const;
-  void encode(util::Writer& w) const;
-  static GroupViewId decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(daemon_view, change_seq);
+  }
 };
 
 /// Spread-style delivery services.
@@ -68,6 +74,7 @@ enum class ServiceType : std::uint8_t {
   kAgreed = 4,      // total order (sequencer)
   kSafe = 5,        // total order + stability (all members hold the message)
 };
+constexpr bool wire_valid(ServiceType s) { return s <= ServiceType::kSafe; }
 
 /// Why a membership view changed — the left column of the paper's Table 1.
 enum class MembershipReason : std::uint8_t {
@@ -77,6 +84,7 @@ enum class MembershipReason : std::uint8_t {
   kNetwork = 3,     // daemon-level membership change (partition and/or merge)
   kSelfLeave = 4,   // final view delivered to a voluntarily leaving member
 };
+constexpr bool wire_valid(MembershipReason r) { return r <= MembershipReason::kSelfLeave; }
 
 std::string to_string(MembershipReason reason);
 std::string to_string(ServiceType service);
@@ -97,6 +105,11 @@ struct GroupView {
   std::vector<MemberId> transitional;
 
   bool contains(const MemberId& m) const;
+  /// Wire layout of a view sent to a remote client (netd kView).
+  template <class S>
+  void fields(S& s) {
+    s(group, view_id, reason, members, joined, left, transitional);
+  }
 };
 
 /// A data message as delivered to clients. Copying a Message shares the
@@ -108,6 +121,12 @@ struct Message {
   std::int16_t msg_type = 0;  // application-defined multiplexing tag
   util::SharedBytes payload;
   GroupViewId view_id;    // group view the message was delivered in
+
+  /// Wire layout of a delivery to a remote client (netd kMessage).
+  template <class S>
+  void fields(S& s) {
+    s(group, sender, service, msg_type, view_id, payload);
+  }
 };
 
 }  // namespace ss::gcs

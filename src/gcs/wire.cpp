@@ -4,340 +4,21 @@ namespace ss::gcs {
 
 namespace {
 
-void encode_daemon_list(util::Writer& w, const std::vector<DaemonId>& list) {
-  w.u32(static_cast<std::uint32_t>(list.size()));
-  for (DaemonId d : list) w.u32(d);
-}
-
-std::vector<DaemonId> decode_daemon_list(util::Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<DaemonId> out;
-  // No reserve: n is attacker-controlled; element decoding bounds growth.
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.u32());
-  return out;
-}
-
-void encode_seq_vec(util::Writer& w, const std::vector<std::pair<DaemonId, std::uint64_t>>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& [d, s] : v) {
-    w.u32(d);
-    w.u64(s);
-  }
-}
-
-std::vector<std::pair<DaemonId, std::uint64_t>> decode_seq_vec(util::Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<std::pair<DaemonId, std::uint64_t>> out;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    DaemonId d = r.u32();
-    std::uint64_t s = r.u64();
-    out.emplace_back(d, s);
-  }
-  return out;
+template <class M>
+util::SharedBytes encode_framed(MsgType type, const M& m) {
+  util::Writer w;
+  util::Encoder{w}(type, m);
+  return w.take_shared();
 }
 
 }  // namespace
 
-util::Bytes HeartbeatMsg::encode() const {
-  util::Writer w;
-  view.encode(w);
-  w.u64(delivered_gseq);
-  return w.take();
-}
-
-HeartbeatMsg HeartbeatMsg::decode(util::Reader& r) {
-  HeartbeatMsg m;
-  m.view = ViewId::decode(r);
-  m.delivered_gseq = r.u64();
-  return m;
-}
-
-util::Bytes GatherAnnounceMsg::encode() const {
-  util::Writer w;
-  w.u64(round);
-  encode_daemon_list(w, candidates);
-  return w.take();
-}
-
-GatherAnnounceMsg GatherAnnounceMsg::decode(util::Reader& r) {
-  GatherAnnounceMsg m;
-  m.round = r.u64();
-  m.candidates = decode_daemon_list(r);
-  return m;
-}
-
-util::Bytes ProposalMsg::encode() const {
-  util::Writer w;
-  view.encode(w);
-  encode_daemon_list(w, members);
-  return w.take();
-}
-
-ProposalMsg ProposalMsg::decode(util::Reader& r) {
-  ProposalMsg m;
-  m.view = ViewId::decode(r);
-  m.members = decode_daemon_list(r);
-  return m;
-}
-
-void GroupMemberEntry::encode(util::Writer& w) const {
-  member.encode(w);
-  join_stamp.encode(w);
-}
-
-GroupMemberEntry GroupMemberEntry::decode(util::Reader& r) {
-  GroupMemberEntry e;
-  e.member = MemberId::decode(r);
-  e.join_stamp = GroupViewId::decode(r);
-  return e;
-}
-
-void GroupTable::encode(util::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(groups.size()));
-  for (const auto& [name, members] : groups) {
-    w.str(name);
-    w.u32(static_cast<std::uint32_t>(members.size()));
-    for (const auto& m : members) m.encode(w);
-  }
-}
-
-GroupTable GroupTable::decode(util::Reader& r) {
-  GroupTable t;
-  const std::uint32_t n_groups = r.u32();
-  for (std::uint32_t i = 0; i < n_groups; ++i) {
-    GroupName name = r.str();
-    const std::uint32_t n_members = r.u32();
-    std::vector<GroupMemberEntry> members;
-    for (std::uint32_t j = 0; j < n_members; ++j) members.push_back(GroupMemberEntry::decode(r));
-    t.groups.emplace(std::move(name), std::move(members));
-  }
-  return t;
-}
-
-util::Bytes DataMsg::encode() const {
-  util::Writer w;
-  encode_into(w);
-  return w.take();
-}
-
-void DataMsg::encode_into(util::Writer& w) const {
-  view.encode(w);
-  w.u32(sender);
-  w.u64(seq);
-  w.u8(static_cast<std::uint8_t>(service));
-  w.u8(control ? 1 : 0);
-  w.str(group);
-  origin.encode(w);
-  w.u16(static_cast<std::uint16_t>(msg_type));
-  encode_seq_vec(w, vclock);
-  // Chained, not copied: the payload bytes are gathered exactly once when
-  // the caller takes the encoding.
-  w.payload(payload);
-}
-
 util::SharedBytes DataMsg::encode_framed() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kData));
-  encode_into(w);
-  return w.take_shared();
-}
-
-DataMsg DataMsg::decode(util::Reader& r) {
-  DataMsg m;
-  m.view = ViewId::decode(r);
-  m.sender = r.u32();
-  m.seq = r.u64();
-  m.service = static_cast<ServiceType>(r.u8());
-  m.control = r.u8() != 0;
-  m.group = r.str();
-  m.origin = MemberId::decode(r);
-  m.msg_type = static_cast<std::int16_t>(r.u16());
-  m.vclock = decode_seq_vec(r);
-  m.payload = r.payload();
-  return m;
-}
-
-util::Bytes OrderStampMsg::encode() const {
-  util::Writer w;
-  encode_into(w);
-  return w.take();
-}
-
-void OrderStampMsg::encode_into(util::Writer& w) const {
-  view.encode(w);
-  w.u64(gseq);
-  w.u32(sender);
-  w.u64(seq);
-}
-
-OrderStampMsg OrderStampMsg::decode(util::Reader& r) {
-  OrderStampMsg m;
-  m.view = ViewId::decode(r);
-  m.gseq = r.u64();
-  m.sender = r.u32();
-  m.seq = r.u64();
-  return m;
-}
-
-util::Bytes GroupChangeMsg::encode() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.str(group);
-  member.encode(w);
-  return w.take();
-}
-
-GroupChangeMsg GroupChangeMsg::decode(util::Reader& r) {
-  GroupChangeMsg m;
-  m.kind = static_cast<GroupChangeKind>(r.u8());
-  m.group = r.str();
-  m.member = MemberId::decode(r);
-  return m;
-}
-
-util::Bytes StateExchangeMsg::encode() const {
-  util::Writer w;
-  proposed.encode(w);
-  w.u32(from);
-  old_view.encode(w);
-  encode_daemon_list(w, old_members);
-  encode_seq_vec(w, fifo_received);
-  w.u64(delivered_gseq);
-  w.u32(static_cast<std::uint32_t>(stamps.size()));
-  for (const auto& s : stamps) s.encode_into(w);
-  groups.encode(w);
-  return w.take();
-}
-
-StateExchangeMsg StateExchangeMsg::decode(util::Reader& r) {
-  StateExchangeMsg m;
-  m.proposed = ViewId::decode(r);
-  m.from = r.u32();
-  m.old_view = ViewId::decode(r);
-  m.old_members = decode_daemon_list(r);
-  m.fifo_received = decode_seq_vec(r);
-  m.delivered_gseq = r.u64();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) m.stamps.push_back(OrderStampMsg::decode(r));
-  m.groups = GroupTable::decode(r);
-  return m;
-}
-
-void OldViewPlan::encode(util::Writer& w) const {
-  old_view.encode(w);
-  encode_daemon_list(w, participants);
-  encode_daemon_list(w, old_members);
-  encode_seq_vec(w, fifo_cut);
-  w.u32(static_cast<std::uint32_t>(holder_vecs.size()));
-  for (const auto& [d, vec] : holder_vecs) {
-    w.u32(d);
-    encode_seq_vec(w, vec);
-  }
-  w.u32(static_cast<std::uint32_t>(stamps.size()));
-  for (const auto& s : stamps) s.encode_into(w);
-}
-
-OldViewPlan OldViewPlan::decode(util::Reader& r) {
-  OldViewPlan p;
-  p.old_view = ViewId::decode(r);
-  p.participants = decode_daemon_list(r);
-  p.old_members = decode_daemon_list(r);
-  p.fifo_cut = decode_seq_vec(r);
-  const std::uint32_t nh = r.u32();
-  for (std::uint32_t i = 0; i < nh; ++i) {
-    DaemonId d = r.u32();
-    p.holder_vecs.emplace_back(d, decode_seq_vec(r));
-  }
-  const std::uint32_t ns = r.u32();
-  for (std::uint32_t i = 0; i < ns; ++i) p.stamps.push_back(OrderStampMsg::decode(r));
-  return p;
-}
-
-util::Bytes InstallMsg::encode() const {
-  util::Writer w;
-  view.encode(w);
-  encode_daemon_list(w, members);
-  w.u32(static_cast<std::uint32_t>(plans.size()));
-  for (const auto& p : plans) p.encode(w);
-  merged_groups.encode(w);
-  return w.take();
-}
-
-InstallMsg InstallMsg::decode(util::Reader& r) {
-  InstallMsg m;
-  m.view = ViewId::decode(r);
-  m.members = decode_daemon_list(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) m.plans.push_back(OldViewPlan::decode(r));
-  m.merged_groups = GroupTable::decode(r);
-  return m;
-}
-
-util::Bytes RetransReqMsg::encode() const {
-  util::Writer w;
-  old_view.encode(w);
-  encode_seq_vec(w, items);
-  return w.take();
-}
-
-RetransReqMsg RetransReqMsg::decode(util::Reader& r) {
-  RetransReqMsg m;
-  m.old_view = ViewId::decode(r);
-  m.items = decode_seq_vec(r);
-  return m;
-}
-
-util::Bytes RetransDataMsg::encode() const {
-  util::Writer w;
-  old_view.encode(w);
-  w.u32(static_cast<std::uint32_t>(msgs.size()));
-  for (const auto& m : msgs) w.bytes(m.encode());
-  return w.take();
-}
-
-RetransDataMsg RetransDataMsg::decode(util::Reader& r) {
-  RetransDataMsg m;
-  m.old_view = ViewId::decode(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    // Nested zero-copy: the inner reader (and the decoded payload) alias
-    // the outer buffer's block when it is shared.
-    const util::SharedBytes raw = r.payload();
-    util::Reader inner(raw);
-    m.msgs.push_back(DataMsg::decode(inner));
-  }
-  return m;
-}
-
-util::Bytes UnicastMsg::encode() const {
-  util::Writer w;
-  encode_into(w);
-  return w.take();
-}
-
-void UnicastMsg::encode_into(util::Writer& w) const {
-  from.encode(w);
-  to.encode(w);
-  w.str(group);
-  w.u16(static_cast<std::uint16_t>(msg_type));
-  w.payload(payload);
+  return gcs::encode_framed(MsgType::kData, *this);
 }
 
 util::SharedBytes UnicastMsg::encode_framed() const {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kUnicast));
-  encode_into(w);
-  return w.take_shared();
-}
-
-UnicastMsg UnicastMsg::decode(util::Reader& r) {
-  UnicastMsg m;
-  m.from = MemberId::decode(r);
-  m.to = MemberId::decode(r);
-  m.group = r.str();
-  m.msg_type = static_cast<std::int16_t>(r.u16());
-  m.payload = r.payload();
-  return m;
+  return gcs::encode_framed(MsgType::kUnicast, *this);
 }
 
 util::Bytes frame(MsgType type, const util::Bytes& body) {
@@ -348,15 +29,9 @@ util::Bytes frame(MsgType type, const util::Bytes& body) {
   return out;
 }
 
-std::pair<MsgType, util::Bytes> unframe(const util::Bytes& data) {
-  util::Reader r(data);
-  const MsgType type = static_cast<MsgType>(r.u8());
-  return {type, r.rest()};
-}
-
 std::pair<MsgType, util::SharedBytes> unframe(const util::SharedBytes& data) {
-  if (data.empty()) throw util::SerialError("unframe: empty");
-  const MsgType type = static_cast<MsgType>(data[0]);
+  util::Reader r(data);
+  const auto type = util::decode_front<MsgType>(r);
   return {type, data.slice(1)};
 }
 

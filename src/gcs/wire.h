@@ -1,9 +1,9 @@
 // Daemon-to-daemon protocol messages and their wire encodings.
 //
 // Everything except heartbeats travels over the reliable FIFO links
-// (gcs/link.h). Encodings use the bounds-checked serializer; decoding a
-// corrupt buffer throws util::SerialError, which the daemon treats as a
-// dropped packet.
+// (gcs/link.h). Each message lists its fields once; util::encode and
+// util::decode run that list (util/serial.h). Decoding a corrupt buffer
+// throws util::SerialError, which the daemon treats as a dropped packet.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,9 @@ enum class MsgType : std::uint8_t {
   kUnicast = 10,
   kDaemonKeyDist = 11,  // daemon-model group key distribution (gcs/daemon_key.h)
 };
+constexpr bool wire_valid(MsgType t) {
+  return t >= MsgType::kHeartbeat && t <= MsgType::kDaemonKeyDist;
+}
 
 /// Periodic, unreliable. Carries the sender's installed view (foreign-view
 /// detection => merge trigger) and its contiguously-delivered agreed
@@ -37,8 +40,11 @@ struct HeartbeatMsg {
   ViewId view;
   std::uint64_t delivered_gseq = 0;
 
-  util::Bytes encode() const;
-  static HeartbeatMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(view, delivered_gseq);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Membership, phase 1: "I am gathering for round R and can reach C".
@@ -46,8 +52,11 @@ struct GatherAnnounceMsg {
   std::uint64_t round = 0;
   std::vector<DaemonId> candidates;
 
-  util::Bytes encode() const;
-  static GatherAnnounceMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(round, candidates);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Membership, phase 2 (coordinator -> candidates).
@@ -55,8 +64,11 @@ struct ProposalMsg {
   ViewId view;
   std::vector<DaemonId> members;
 
-  util::Bytes encode() const;
-  static ProposalMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(view, members);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// One member of a lightweight group, with the stamp that fixes its join
@@ -68,16 +80,20 @@ struct GroupMemberEntry {
 
   friend auto operator<=>(const GroupMemberEntry&, const GroupMemberEntry&) = default;
 
-  void encode(util::Writer& w) const;
-  static GroupMemberEntry decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(member, join_stamp);
+  }
 };
 
 /// group name -> members ordered by join stamp.
 struct GroupTable {
   std::map<GroupName, std::vector<GroupMemberEntry>> groups;
 
-  void encode(util::Writer& w) const;
-  static GroupTable decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(groups);
+  }
 };
 
 /// An ordered multicast within a daemon view (client data or group-change
@@ -95,13 +111,15 @@ struct DataMsg {
   std::vector<std::pair<DaemonId, std::uint64_t>> vclock;
   util::SharedBytes payload;
 
-  util::Bytes encode() const;
-  void encode_into(util::Writer& w) const;
+  template <class S>
+  void fields(S& s) {
+    s(view, sender, seq, service, control, group, origin, msg_type, vclock, payload);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
   /// Framed encoding (type byte + headers + chained payload) as one shared
   /// block: the single gather of the multicast send path, refcount-shared
   /// across every destination.
   util::SharedBytes encode_framed() const;
-  static DataMsg decode(util::Reader& r);
 };
 
 /// Sequencer stamp assigning global order `gseq` to (sender, seq).
@@ -111,21 +129,27 @@ struct OrderStampMsg {
   DaemonId sender = kInvalidDaemon;
   std::uint64_t seq = 0;
 
-  util::Bytes encode() const;
-  void encode_into(util::Writer& w) const;
-  static OrderStampMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(view, gseq, sender, seq);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// The group-change operations carried by control DataMsgs.
 enum class GroupChangeKind : std::uint8_t { kJoin = 0, kLeave = 1, kDisconnect = 2 };
+constexpr bool wire_valid(GroupChangeKind k) { return k <= GroupChangeKind::kDisconnect; }
 
 struct GroupChangeMsg {
   GroupChangeKind kind = GroupChangeKind::kJoin;
   GroupName group;
   MemberId member;
 
-  util::Bytes encode() const;
-  static GroupChangeMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(kind, group, member);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Membership, phase 3: each proposed member reports its old-view state.
@@ -142,8 +166,11 @@ struct StateExchangeMsg {
   std::vector<OrderStampMsg> stamps;
   GroupTable groups;
 
-  util::Bytes encode() const;
-  static StateExchangeMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(proposed, from, old_view, old_members, fifo_received, delivered_gseq, stamps, groups);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Per-old-view recovery plan inside an Install.
@@ -157,8 +184,10 @@ struct OldViewPlan {
   /// Union of known stamps, sorted by gseq.
   std::vector<OrderStampMsg> stamps;
 
-  void encode(util::Writer& w) const;
-  static OldViewPlan decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(old_view, participants, old_members, fifo_cut, holder_vecs, stamps);
+  }
 };
 
 /// Membership, phase 4 (coordinator -> members): install this view after
@@ -171,24 +200,33 @@ struct InstallMsg {
   /// whose daemon is not in `members`, deterministically).
   GroupTable merged_groups;
 
-  util::Bytes encode() const;
-  static InstallMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(view, members, plans, merged_groups);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 struct RetransReqMsg {
   ViewId old_view;
   std::vector<std::pair<DaemonId, std::uint64_t>> items;  // (sender, seq)
 
-  util::Bytes encode() const;
-  static RetransReqMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(old_view, items);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 struct RetransDataMsg {
   ViewId old_view;
   std::vector<DataMsg> msgs;
 
-  util::Bytes encode() const;
-  static RetransDataMsg decode(util::Reader& r);
+  template <class S>
+  void fields(S& s) {
+    s(old_view, util::delimited(msgs));
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Member-to-member private message, routed daemon-to-daemon directly.
@@ -199,18 +237,19 @@ struct UnicastMsg {
   std::int16_t msg_type = 0;
   util::SharedBytes payload;
 
-  util::Bytes encode() const;
-  void encode_into(util::Writer& w) const;
+  template <class S>
+  void fields(S& s) {
+    s(from, to, group, msg_type, payload);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
   /// See DataMsg::encode_framed.
   util::SharedBytes encode_framed() const;
-  static UnicastMsg decode(util::Reader& r);
 };
 
 /// Frames an inner message with its type tag.
 util::Bytes frame(MsgType type, const util::Bytes& body);
-/// Splits a framed message; throws util::SerialError on junk.
-std::pair<MsgType, util::Bytes> unframe(const util::Bytes& data);
-/// Zero-copy unframe: the returned body aliases `data`'s block.
+/// Splits a framed message; the body aliases `data`'s block. Throws
+/// util::SerialError if the type byte names no MsgType.
 std::pair<MsgType, util::SharedBytes> unframe(const util::SharedBytes& data);
 
 }  // namespace ss::gcs

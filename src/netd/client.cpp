@@ -88,9 +88,8 @@ void Client::connect(const net::Endpoint& gate, std::chrono::milliseconds timeou
 
   std::optional<util::Bytes> body = read_frame(deadline);
   if (!body) fail("no welcome from " + gate.to_string() + " before the timeout");
-  util::Reader r(*body);
-  if (wire::peek_op(r) != wire::Op::kWelcome) fail("gate spoke before welcoming us");
-  id_ = gcs::MemberId::decode(r);
+  if (wire::peek_op(*body) != wire::Op::kWelcome) fail("gate spoke before welcoming us");
+  id_ = wire::decode_op<gcs::MemberId>(*body);
 }
 
 void Client::connect_to(const std::string& gate_address) {
@@ -169,26 +168,25 @@ std::optional<Client::Event> Client::next_event(std::chrono::milliseconds timeou
   for (;;) {
     std::optional<util::Bytes> body = read_frame(deadline);
     if (!body) return std::nullopt;
-    util::Reader r(*body);
     Event ev;
-    switch (wire::peek_op(r)) {
+    switch (wire::peek_op(*body)) {
       case wire::Op::kMessage:
         ev.kind = Event::Kind::kMessage;
-        ev.message = wire::decode_message(r);
+        ev.message = wire::decode_op<gcs::Message>(*body);
         ev.group = ev.message.group;
         return ev;
       case wire::Op::kView:
         ev.kind = Event::Kind::kView;
-        ev.view = wire::decode_view(r);
+        ev.view = wire::decode_op<gcs::GroupView>(*body);
         ev.group = ev.view.group;
         return ev;
       case wire::Op::kTransitional:
         ev.kind = Event::Kind::kTransitional;
-        ev.group = r.str();
+        ev.group = wire::decode_op<gcs::GroupName>(*body);
         return ev;
       default:
-        // A late duplicate welcome or an op from a newer daemon: skip it
-        // rather than tearing the connection down.
+        // A late duplicate welcome or a client-to-gate op: skip it rather
+        // than tearing the connection down.
         SS_LOG_WARN("netd", "client: ignoring unexpected wire op");
         break;
     }

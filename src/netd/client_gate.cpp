@@ -184,36 +184,30 @@ void ClientGate::accept_ready() {
 
 bool ClientGate::handle_frame(Conn& c, const util::Bytes& body) {
   try {
-    util::Reader r(body);
-    switch (wire::peek_op(r)) {
+    switch (wire::peek_op(body)) {
       case wire::Op::kJoin: {
-        const gcs::GroupName group = r.str();
-        r.expect_done();
+        const auto group = wire::decode_op<gcs::GroupName>(body);
         host_.run_on_home([this, &c, group] { host_.daemon().client_join(c.id, group); });
         return true;
       }
       case wire::Op::kLeave: {
-        const gcs::GroupName group = r.str();
-        r.expect_done();
+        const auto group = wire::decode_op<gcs::GroupName>(body);
         host_.run_on_home([this, &c, group] { host_.daemon().client_leave(c.id, group); });
         return true;
       }
       case wire::Op::kMulticast: {
-        const auto service = static_cast<gcs::ServiceType>(r.u8());
-        const gcs::GroupName group = r.str();
-        const auto msg_type = static_cast<std::int16_t>(r.u16());
-        util::SharedBytes payload = r.payload();
-        r.expect_done();
-        host_.run_on_home([this, &c, service, group, msg_type, payload] {
-          host_.daemon().client_multicast(c.id, service, group, msg_type, payload);
+        auto m = wire::decode_op<wire::Multicast<util::SharedBytes>>(body);
+        host_.run_on_home([this, &c, m = std::move(m)] {
+          host_.daemon().client_multicast(c.id, m.service, m.group, m.msg_type, m.payload);
         });
         return true;
       }
       case wire::Op::kBye:
+        util::decode<wire::Op>(body);  // the op byte is the whole frame
         c.graceful = true;
         return false;
       default:
-        SS_LOG_WARN("netd", "client ", c.id.to_string(), " sent an unknown wire op");
+        SS_LOG_WARN("netd", "client ", c.id.to_string(), " sent a gate-to-client wire op");
         return false;
     }
   } catch (const util::SerialError& e) {

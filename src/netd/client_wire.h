@@ -1,8 +1,9 @@
 // Wire protocol between a spreadd client gate and remote clients.
 //
 // Spread's client library talks to its daemon over a stream socket; this
-// is our equivalent. Framing: a big-endian u32 length prefix, then a
-// util::serial body whose first byte is the Op. The protocol is
+// is our equivalent. Framing: a big-endian u32 length prefix, then a body
+// whose first byte is the Op, followed by the op's field list
+// (util/serial.h). The protocol is
 // deliberately thin — join/leave/multicast inbound; welcome, data
 // messages, group views and the EVS transitional signal outbound. The
 // secure layer is intentionally *not* proxied: keys never leave the
@@ -31,6 +32,9 @@ enum class Op : std::uint8_t {
   kView = 18,
   kTransitional = 19,
 };
+constexpr bool wire_valid(Op op) {
+  return (op >= Op::kJoin && op <= Op::kBye) || (op >= Op::kWelcome && op <= Op::kTransitional);
+}
 
 /// Hard cap on one frame's encoded size (length prefix excluded): a
 /// corrupt prefix must not make a reader allocate gigabytes.
@@ -61,136 +65,90 @@ inline std::optional<util::Bytes> next_frame(util::Bytes& buf) {
   return body;
 }
 
-// --- encode helpers (each returns one framed message) -----------------------
+// --- op bodies ----------------------------------------------------------------
+//
+//   kJoin, kLeave, kTransitional   gcs::GroupName
+//   kMulticast                     Multicast
+//   kBye                           (nothing)
+//   kWelcome                       gcs::MemberId (the client's id)
+//   kMessage                       gcs::Message
+//   kView                          gcs::GroupView
 
-inline util::Bytes encode_join(const gcs::GroupName& group) {
+/// A client's multicast. Sent from the caller's buffer (Payload = const
+/// Bytes&), received as SharedBytes.
+template <class Payload>
+struct Multicast {
+  gcs::ServiceType service = gcs::ServiceType::kFifo;
+  gcs::GroupName group;
+  std::int16_t msg_type = 0;
+  Payload payload;
+
+  template <class S>
+  void fields(S& s) {
+    s(service, group, msg_type, payload);
+  }
+};
+
+/// A frame body: the op byte, then the op's fields.
+template <class Body>
+struct Framed {
+  Op op{};
+  Body body;
+
+  template <class S>
+  void fields(S& s) {
+    s(op, body);
+  }
+};
+
+/// One framed message: length prefix, op byte, then `body`'s fields.
+template <class... Body>
+util::Bytes encode_op(Op op, const Body&... body) {
   util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kJoin));
-  w.str(group);
+  util::Encoder{w}(op, body...);  // a payload field is gathered once, in take()
   util::Bytes out;
   frame_into(out, w.take());
   return out;
 }
 
+/// The op of a frame body; throws util::SerialError if it names no Op.
+inline Op peek_op(const util::Bytes& body) {
+  util::Reader r(body);
+  return util::decode_front<Op>(r);
+}
+
+/// Decodes a whole frame body as its op byte followed by a `Body`.
+template <class Body>
+Body decode_op(const util::Bytes& body) {
+  return util::decode<Framed<Body>>(body).body;
+}
+
+inline util::Bytes encode_join(const gcs::GroupName& group) { return encode_op(Op::kJoin, group); }
+
 inline util::Bytes encode_leave(const gcs::GroupName& group) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kLeave));
-  w.str(group);
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
+  return encode_op(Op::kLeave, group);
 }
 
 inline util::Bytes encode_multicast(gcs::ServiceType service, const gcs::GroupName& group,
                                     std::int16_t msg_type, const util::Bytes& payload) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kMulticast));
-  w.u8(static_cast<std::uint8_t>(service));
-  w.str(group);
-  w.u16(static_cast<std::uint16_t>(msg_type));
-  w.bytes(payload);
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
+  return encode_op(Op::kMulticast,
+                   Multicast<const util::Bytes&>{service, group, msg_type, payload});
 }
 
-inline util::Bytes encode_bye() {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kBye));
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
-}
+inline util::Bytes encode_bye() { return encode_op(Op::kBye); }
 
 inline util::Bytes encode_welcome(const gcs::MemberId& id) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kWelcome));
-  id.encode(w);
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
+  return encode_op(Op::kWelcome, id);
 }
 
 inline util::Bytes encode_message(const gcs::Message& msg) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kMessage));
-  w.str(msg.group);
-  msg.sender.encode(w);
-  w.u8(static_cast<std::uint8_t>(msg.service));
-  w.u16(static_cast<std::uint16_t>(msg.msg_type));
-  msg.view_id.encode(w);
-  w.payload(msg.payload);  // gathered once at take(); shared until then
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
+  return encode_op(Op::kMessage, msg);
 }
 
-inline util::Bytes encode_view(const gcs::GroupView& view) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kView));
-  w.str(view.group);
-  view.view_id.encode(w);
-  w.u8(static_cast<std::uint8_t>(view.reason));
-  auto members = [&w](const std::vector<gcs::MemberId>& ms) {
-    w.u32(static_cast<std::uint32_t>(ms.size()));
-    for (const gcs::MemberId& m : ms) m.encode(w);
-  };
-  members(view.members);
-  members(view.joined);
-  members(view.left);
-  members(view.transitional);
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
-}
+inline util::Bytes encode_view(const gcs::GroupView& view) { return encode_op(Op::kView, view); }
 
 inline util::Bytes encode_transitional(const gcs::GroupName& group) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(Op::kTransitional));
-  w.str(group);
-  util::Bytes out;
-  frame_into(out, w.take());
-  return out;
-}
-
-// --- decode helpers (body excludes the length prefix) -----------------------
-
-inline Op peek_op(util::Reader& r) { return static_cast<Op>(r.u8()); }
-
-inline gcs::Message decode_message(util::Reader& r) {
-  gcs::Message msg;
-  msg.group = r.str();
-  msg.sender = gcs::MemberId::decode(r);
-  msg.service = static_cast<gcs::ServiceType>(r.u8());
-  msg.msg_type = static_cast<std::int16_t>(r.u16());
-  msg.view_id = gcs::GroupViewId::decode(r);
-  msg.payload = r.payload();
-  return msg;
-}
-
-inline gcs::GroupView decode_view(util::Reader& r) {
-  gcs::GroupView view;
-  view.group = r.str();
-  view.view_id = gcs::GroupViewId::decode(r);
-  view.reason = static_cast<gcs::MembershipReason>(r.u8());
-  auto members = [&r] {
-    const std::uint32_t n = r.u32();
-    // The count is untrusted: bound it by the bytes actually present
-    // (each MemberId encodes as two u32s) before sizing the vector, so a
-    // corrupt count fails as a SerialError instead of a huge allocation.
-    constexpr std::size_t kEncodedMemberSize = 8;
-    if (n > r.remaining() / kEncodedMemberSize) {
-      throw util::SerialError("netd wire: member count exceeds frame");
-    }
-    std::vector<gcs::MemberId> ms(n);
-    for (gcs::MemberId& m : ms) m = gcs::MemberId::decode(r);
-    return ms;
-  };
-  view.members = members();
-  view.joined = members();
-  view.left = members();
-  view.transitional = members();
-  return view;
+  return encode_op(Op::kTransitional, group);
 }
 
 }  // namespace ss::netd::wire

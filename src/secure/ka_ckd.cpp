@@ -92,7 +92,7 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
   try {
     switch (static_cast<KaMsgType>(msg.msg_type)) {
       case KaMsgType::kCkdRound1: {
-        const CkdRound1Msg r1 = CkdRound1Msg::decode(msg.payload);
+        const auto r1 = util::decode<CkdRound1Msg>(msg.payload);
         if (r1.controller != view_.members.front()) break;  // stale controller
         return KaActions::deferred("ckd.pairwise_respond", [this, r1] {
           KaActions out;
@@ -104,7 +104,7 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
       }
       case KaMsgType::kCkdRound2: {
         if (!i_am_controller()) break;
-        const CkdRound2Msg r2 = CkdRound2Msg::decode(msg.payload);
+        const auto r2 = util::decode<CkdRound2Msg>(msg.payload);
         if (!view_.contains(r2.member)) break;
         return KaActions::deferred("ckd.pairwise_complete", [this, r2] {
           KaActions out;
@@ -114,7 +114,7 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
         });
       }
       case KaMsgType::kCkdKeyDist: {
-        const CkdKeyDistMsg dist = CkdKeyDistMsg::decode(msg.payload);
+        const auto dist = util::decode<CkdKeyDistMsg>(msg.payload);
         if (dist.controller == env_.self) break;  // own echo
         return KaActions::deferred(
             "ckd.process_key_dist", [this, dist, members = view_.members] {

@@ -218,7 +218,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
   try {
     switch (static_cast<KaMsgType>(msg.msg_type)) {
       case KaMsgType::kClqHandoff: {
-        const ClqHandoffMsg handoff = ClqHandoffMsg::decode(msg.payload);
+        const auto handoff = util::decode<ClqHandoffMsg>(msg.payload);
         if (handoff.new_member != env_.self) break;
         return KaActions::deferred(
             "clq.join_finalize", [this, handoff, members = view_.members] {
@@ -232,7 +232,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
             });
       }
       case KaMsgType::kClqBroadcast: {
-        const ClqBroadcastMsg bc = ClqBroadcastMsg::decode(msg.payload);
+        const auto bc = util::decode<ClqBroadcastMsg>(msg.payload);
         if (bc.controller == env_.self) break;  // own echo
         return KaActions::deferred(
             "clq.process_broadcast", [this, bc, members = view_.members] {
@@ -244,7 +244,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
             });
       }
       case KaMsgType::kClqMergeChain: {
-        const ClqMergeChainMsg chain = ClqMergeChainMsg::decode(msg.payload);
+        const auto chain = util::decode<ClqMergeChainMsg>(msg.payload);
         if (chain.pending.empty() || chain.pending.front() != env_.self) break;
         return KaActions::deferred(
             "clq.merge_chain", [this, chain, members = view_.members] {
@@ -264,7 +264,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
             });
       }
       case KaMsgType::kClqMergePartial: {
-        const ClqMergePartialMsg partial = ClqMergePartialMsg::decode(msg.payload);
+        const auto partial = util::decode<ClqMergePartialMsg>(msg.payload);
         if (partial.new_controller == env_.self) break;  // own echo
         return KaActions::deferred(
             "clq.factor_out", [this, partial, members = view_.members] {
@@ -277,7 +277,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
             });
       }
       case KaMsgType::kClqFactorOut: {
-        const ClqFactorOutMsg fo = ClqFactorOutMsg::decode(msg.payload);
+        const auto fo = util::decode<ClqFactorOutMsg>(msg.payload);
         return KaActions::deferred("clq.merge_collect", [this, fo] {
           KaActions out;
           auto bc = ctx_->merge_collect(fo);

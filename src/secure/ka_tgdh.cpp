@@ -17,89 +17,11 @@ namespace {
 
 constexpr KeyTreeNodeId kRootId{};
 
-void encode_node_id(util::Writer& w, const KeyTreeNodeId& id) {
-  w.u8(id.depth);
-  w.u64(id.path);
-}
-
-KeyTreeNodeId decode_node_id(util::Reader& r) {
-  KeyTreeNodeId id;
-  id.depth = r.u8();
-  id.path = r.u64();
-  return id;
-}
-
 bool contains_member(const std::vector<MemberId>& v, const MemberId& m) {
   return std::find(v.begin(), v.end(), m) != v.end();
 }
 
 }  // namespace
-
-util::Bytes TgdhLeafKeyMsg::encode() const {
-  util::Writer w;
-  member.encode(w);
-  w.bytes(bk.to_bytes());
-  return w.take();
-}
-
-TgdhLeafKeyMsg TgdhLeafKeyMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  TgdhLeafKeyMsg m;
-  m.member = MemberId::decode(r);
-  m.bk = Bignum::from_bytes(r.bytes());
-  r.expect_done();
-  return m;
-}
-
-util::Bytes TgdhUpdateMsg::encode() const {
-  util::Writer w;
-  sender.encode(w);
-  w.u32(round);
-  w.u32(static_cast<std::uint32_t>(leaves.size()));
-  for (const auto& [id, m] : leaves) {
-    encode_node_id(w, id);
-    m.encode(w);
-  }
-  w.u32(static_cast<std::uint32_t>(blindeds.size()));
-  for (const auto& [id, bk] : blindeds) {
-    encode_node_id(w, id);
-    w.bytes(bk.to_bytes());
-  }
-  return w.take();
-}
-
-TgdhUpdateMsg TgdhUpdateMsg::decode(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  TgdhUpdateMsg m;
-  m.sender = MemberId::decode(r);
-  m.round = r.u32();
-  // Counts are untrusted: clamp each against the remaining payload (every
-  // entry has a known minimum encoded width — node id 9 bytes, member id 8,
-  // byte-string length prefix 4) BEFORE reserving, so a tiny malformed
-  // message claiming ~4G entries cannot trigger a multi-GB allocation.
-  constexpr std::size_t kMinLeafEntry = 9 + 8;
-  constexpr std::size_t kMinBlindedEntry = 9 + 4;
-  const std::uint32_t nl = r.u32();
-  if (nl > r.remaining() / kMinLeafEntry) {
-    throw util::SerialError("TgdhUpdateMsg: leaf count exceeds payload");
-  }
-  m.leaves.reserve(nl);
-  for (std::uint32_t i = 0; i < nl; ++i) {
-    const KeyTreeNodeId id = decode_node_id(r);
-    m.leaves.emplace_back(id, MemberId::decode(r));
-  }
-  const std::uint32_t nb = r.u32();
-  if (nb > r.remaining() / kMinBlindedEntry) {
-    throw util::SerialError("TgdhUpdateMsg: blinded count exceeds payload");
-  }
-  m.blindeds.reserve(nb);
-  for (std::uint32_t i = 0; i < nb; ++i) {
-    const KeyTreeNodeId id = decode_node_id(r);
-    m.blindeds.emplace_back(id, Bignum::from_bytes(r.bytes()));
-  }
-  r.expect_done();
-  return m;
-}
 
 TgdhKaModule::TgdhKaModule(const KaModuleEnv& env) : env_(env) {}
 
@@ -307,7 +229,7 @@ KaActions TgdhKaModule::on_message(const gcs::Message& msg) {
   try {
     switch (static_cast<KaMsgType>(msg.msg_type)) {
       case KaMsgType::kTgdhLeafKey: {
-        const TgdhLeafKeyMsg leaf = TgdhLeafKeyMsg::decode(msg.payload);
+        const auto leaf = util::decode<TgdhLeafKeyMsg>(msg.payload);
         if (leaf.member == env_.self) break;  // own echo
         if (!view_.contains(leaf.member)) break;
         return KaActions::deferred("tgdh.leaf_key", [this, leaf] {
@@ -329,7 +251,7 @@ KaActions TgdhKaModule::on_message(const gcs::Message& msg) {
         });
       }
       case KaMsgType::kTgdhUpdate: {
-        TgdhUpdateMsg update = TgdhUpdateMsg::decode(msg.payload);
+        auto update = util::decode<TgdhUpdateMsg>(msg.payload);
         if (update.sender == env_.self) break;  // own echo
         if (!view_.contains(update.sender)) break;
         return KaActions::deferred("tgdh.update", [this, update = std::move(update)] {

@@ -32,8 +32,11 @@ struct TgdhLeafKeyMsg {
   gcs::MemberId member;
   crypto::Bignum bk;
 
-  util::Bytes encode() const;
-  static TgdhLeafKeyMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(member, bk);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 /// Sponsor snapshot: the full leaf layout (shape proof) plus every blinded
@@ -44,8 +47,11 @@ struct TgdhUpdateMsg {
   std::vector<std::pair<crypto::KeyTreeNodeId, gcs::MemberId>> leaves;
   std::vector<std::pair<crypto::KeyTreeNodeId, crypto::Bignum>> blindeds;
 
-  util::Bytes encode() const;
-  static TgdhUpdateMsg decode(const util::SharedBytes& raw);
+  template <class S>
+  void fields(S& s) {
+    s(sender, round, leaves, blindeds);
+  }
+  util::Bytes encode() const { return util::encode(*this); }
 };
 
 class TgdhKaModule final : public KeyAgreementModule {

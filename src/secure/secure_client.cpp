@@ -16,21 +16,6 @@ constexpr std::size_t kKeyIdBytes = 8;
 constexpr std::size_t kOldCipherWindow = 4;
 constexpr std::size_t kEarlyUnicastWindow = 32;
 
-/// Unicast protocol messages carry the view they belong to (multicasts get
-/// this from VS delivery for free).
-util::Bytes wrap_unicast(const gcs::GroupViewId& vid, const util::Bytes& payload) {
-  util::Writer w;
-  vid.encode(w);
-  w.bytes(payload);
-  return w.take();
-}
-
-std::pair<gcs::GroupViewId, util::SharedBytes> unwrap_unicast(const util::SharedBytes& raw) {
-  util::Reader r(raw);
-  gcs::GroupViewId vid = gcs::GroupViewId::decode(r);
-  return {vid, r.payload()};  // zero-copy slice of the delivered block
-}
-
 bool is_ka_type(std::int16_t t) { return t <= -31000 && t > -32000; }
 
 /// What a sender signature binds: group, key epoch, sender, type, payload.
@@ -40,7 +25,7 @@ util::Bytes sig_binding(const gcs::GroupName& group, const util::Bytes& key_id,
   util::Writer w;
   w.str(group);
   w.bytes(key_id);
-  sender.encode(w);
+  util::Encoder{w}(sender);
   w.u16(static_cast<std::uint16_t>(app_type));
   w.bytes(payload);
   return w.take();
@@ -69,16 +54,7 @@ SecureGroupClient::SecureGroupClient(gcs::Daemon& daemon, cliques::KeyDirectory&
 }
 
 SecureGroupClient::~SecureGroupClient() {
-  for (auto& [group, st] : groups_) {
-    if (st.refresh_timer_armed) {
-      clock_.cancel(st.refresh_timer);
-      st.refresh_timer_armed = false;
-    }
-    if (st.batch_timer_armed) {
-      clock_.cancel(st.batch_timer);
-      st.batch_timer_armed = false;
-    }
-  }
+  for (auto& [group, st] : groups_) cancel_timers(st);
   // After this, a completion timer from a still-running deferred step finds
   // the token expired and returns without touching the freed client. The
   // step itself only reaches module-owned state (the job's shared_ptr keeps
@@ -87,6 +63,16 @@ SecureGroupClient::~SecureGroupClient() {
 }
 
 void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig config) {
+  auto it = groups_.find(group);
+  if (it != groups_.end()) {
+    // A joined group keeps its state: the daemon ignores a duplicate join,
+    // so no view would ever rebuild it. A group still waiting for the
+    // self-leave view of an earlier leave() starts a new incarnation, which
+    // that view no longer ends.
+    if (!it->second.leaving) return;
+    cancel_timers(it->second);
+    groups_.erase(it);
+  }
   KaModuleEnv env;
   env.dh = config.dh;
   env.directory = &directory_;
@@ -104,7 +90,6 @@ void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig conf
   env.self = fm_.id();
   std::unique_ptr<KeyAgreementModule> ka = KaRegistry::instance().create(config.ka_module, env);
   std::unique_ptr<CipherSuite> cipher = CipherRegistry::instance().create(config.cipher);
-  groups_.erase(group);  // a repeated join starts from fresh state
   GroupState& st = groups_.try_emplace(group, fm_.id(), config).first->second;
   st.ka = std::move(ka);
   st.cipher = std::move(cipher);
@@ -115,16 +100,21 @@ void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig conf
 void SecureGroupClient::leave(const gcs::GroupName& group) {
   auto it = groups_.find(group);
   if (it != groups_.end()) {
-    if (it->second.refresh_timer_armed) {
-      clock_.cancel(it->second.refresh_timer);
-      it->second.refresh_timer_armed = false;
-    }
-    if (it->second.batch_timer_armed) {
-      clock_.cancel(it->second.batch_timer);
-      it->second.batch_timer_armed = false;
-    }
+    it->second.leaving = true;
+    cancel_timers(it->second);
   }
   fm_.leave(group);
+}
+
+void SecureGroupClient::cancel_timers(GroupState& st) {
+  if (st.refresh_timer_armed) {
+    clock_.cancel(st.refresh_timer);
+    st.refresh_timer_armed = false;
+  }
+  if (st.batch_timer_armed) {
+    clock_.cancel(st.batch_timer);
+    st.batch_timer_armed = false;
+  }
 }
 
 void SecureGroupClient::arm_refresh_timer(const gcs::GroupName& group, GroupState& st) {
@@ -286,11 +276,11 @@ void SecureGroupClient::handle_view(const gcs::GroupView& view) {
   if (it == groups_.end()) return;
 
   if (view.reason == gcs::MembershipReason::kSelfLeave) {
-    if (it->second.batch_timer_armed) {
-      clock_.cancel(it->second.batch_timer);
-      it->second.batch_timer_armed = false;
+    // Ends the incarnation that called leave(); one joined since stays.
+    if (it->second.leaving) {
+      cancel_timers(it->second);
+      groups_.erase(it);
     }
-    groups_.erase(it);
     if (on_view_) on_view_(view);
     return;
   }
@@ -383,15 +373,25 @@ void SecureGroupClient::buffer_early_ka(GroupState& st, const gcs::Message& msg)
 }
 
 void SecureGroupClient::fold_into_batch(GroupState& st, const gcs::GroupView& view) {
+  // Who departed at this view: its leavers, plus any joiner the module
+  // still holds — that member left and rejoined in views the flush layer
+  // never installed here, and restarted with fresh state.
+  std::vector<gcs::MemberId> departed = view.left;
+  for (const auto& m : view.joined) {
+    if (std::find(st.handed_members.begin(), st.handed_members.end(), m) !=
+        st.handed_members.end()) {
+      departed.push_back(m);
+    }
+  }
   if (!st.pending_batch) {
-    // Singleton batch: the view's own delta, verbatim — modules see exactly
-    // the transcript the per-event flow produced.
+    // Singleton batch: the view's own delta, plus its rejoiners as leavers
+    // — modules see the transcript the per-event flow produced.
     KaMembershipEvent ev;
     ev.view = view;
     ev.joined = view.joined;
-    ev.left = view.left;
+    ev.left = departed;
     st.pending_batch = std::move(ev);
-    st.batch_departed = view.left;
+    st.batch_departed = std::move(departed);
     return;
   }
   st.counters.coalesced_views.inc();
@@ -401,7 +401,7 @@ void SecureGroupClient::fold_into_batch(GroupState& st, const gcs::GroupView& vi
   // Record who departed at ANY view of the batch: a member that leaves and
   // rejoins within the window cancels out of the endpoint diff below even
   // though it restarted with fresh module state.
-  for (const auto& m : view.left) {
+  for (const auto& m : departed) {
     if (std::find(st.batch_departed.begin(), st.batch_departed.end(), m) ==
         st.batch_departed.end()) {
       st.batch_departed.push_back(m);
@@ -477,9 +477,9 @@ void SecureGroupClient::handle_message(const gcs::Message& msg) {
     // deliveries).
     if (msg.view_id == gcs::GroupViewId{}) {
       try {
-        auto [vid, payload] = unwrap_unicast(msg.payload);
-        if (vid != st.view.view_id) {
-          if (!st.have_view || vid > st.view.view_id) {
+        auto tag = util::decode<UnicastTag<util::SharedBytes>>(msg.payload);
+        if (tag.vid != st.view.view_id) {
+          if (!st.have_view || tag.vid > st.view.view_id) {
             buffer_early_ka(st, msg);
           } else {
             SS_LOG_DEBUG("secure", fm_.id().to_string(), " dropped stale KA unicast ",
@@ -487,7 +487,7 @@ void SecureGroupClient::handle_message(const gcs::Message& msg) {
           }
           return;
         }
-        inner.payload = std::move(payload);
+        inner.payload = std::move(tag.payload);
       } catch (const util::SerialError&) {
         return;
       }
@@ -531,7 +531,9 @@ void SecureGroupClient::dispatch(const gcs::GroupName& group, GroupState& st,
   for (const auto& u : actions.unicasts) {
     SS_LOG_DEBUG("secure", fm_.id().to_string(), " KA unicast ", ka_phase_name(u.msg_type),
                  " -> ", u.to.to_string(), " in ", group);
-    fm_.unicast(u.to, group, wrap_unicast(st.view.view_id, u.payload), u.msg_type);
+    fm_.unicast(u.to, group,
+                util::encode(UnicastTag<const util::Bytes&>{st.view.view_id, u.payload}),
+                u.msg_type);
   }
   for (const auto& m : actions.multicasts) {
     // FIFO suffices for key agreement traffic (paper Section 5.3).
@@ -724,28 +726,23 @@ void SecureGroupClient::flush_outbox(const gcs::GroupName& group, GroupState& st
   while (!st.outbox.empty()) {
     auto& [msg_type, plaintext] = st.outbox.front();
 
-    // Inner wrapper: [flags][signature?][payload]. Commitment announcements
-    // are never themselves signed (they bootstrap the signatures).
-    util::Writer inner;
-    const bool sign = st.config.authenticate_senders && st.my_secret && st.my_commitment &&
-                      msg_type != kShareCommitType;
-    inner.u8(sign ? 1 : 0);
-    if (sign) {
-      const crypto::SchnorrSignature sig =
+    // Commitment announcements are never themselves signed (they
+    // bootstrap the signatures).
+    SignedPayload<const util::Bytes&> inner{std::nullopt, plaintext};
+    if (st.config.authenticate_senders && st.my_secret && st.my_commitment &&
+        msg_type != kShareCommitType) {
+      inner.signature =
           crypto::schnorr_sign(*st.config.dh, *st.my_secret, *st.my_commitment,
                                sig_binding(group, st.key_id, fm_.id(), msg_type, plaintext),
-                               rnd_);
-      inner.bytes(sig.encode());
+                               rnd_)
+              .encode();
     }
-    inner.bytes(plaintext);
-
-    util::Writer w;
-    w.bytes(st.key_id);
-    w.u16(static_cast<std::uint16_t>(msg_type));
     // Encrypt once, chain the ciphertext: the block is shared down the
     // stack and across all recipient daemons without further copies.
-    w.payload(util::SharedBytes(st.cipher->protect(inner.take(), make_aad(group, st.key_id), rnd_)));
-    if (!fm_.send(st.config.data_service, group, w.take_shared(), kSecureDataType)) {
+    const DataEnvelope env{st.key_id, msg_type,
+                           st.cipher->protect(util::encode(inner), make_aad(group, st.key_id),
+                                              rnd_)};
+    if (!fm_.send(st.config.data_service, group, util::encode_shared(env), kSecureDataType)) {
       return;  // flushing: keep queued; the next key event retries
     }
     st.counters.sealed.inc();
@@ -755,18 +752,15 @@ void SecureGroupClient::flush_outbox(const gcs::GroupName& group, GroupState& st
 
 void SecureGroupClient::deliver_ciphertext(GroupState& st, const gcs::Message& msg,
                                            bool buffer_unknown) {
-  util::Bytes key_id;
-  std::int16_t app_type = 0;
-  util::Bytes sealed;
+  DataEnvelope env;
   try {
-    util::Reader r(msg.payload);
-    key_id = r.bytes();
-    app_type = static_cast<std::int16_t>(r.u16());
-    sealed = r.bytes();
+    env = util::decode<DataEnvelope>(msg.payload);
   } catch (const util::SerialError&) {
     st.counters.dropped_undecodable.inc();
     return;
   }
+  const util::Bytes& key_id = env.key_id;
+  const std::int16_t app_type = env.app_type;
 
   CipherSuite* suite = nullptr;
   if (st.key_ready && key_id == st.key_id) {
@@ -785,15 +779,15 @@ void SecureGroupClient::deliver_ciphertext(GroupState& st, const gcs::Message& m
   }
 
   try {
-    const util::Bytes inner = suite->unprotect(sealed, make_aad(msg.group, key_id));
+    const util::Bytes sealed(env.sealed.begin(), env.sealed.end());
+    const util::Bytes plain = suite->unprotect(sealed, make_aad(msg.group, key_id));
     if (gcs::ClientTrace* t = gcs::ClientTrace::global()) {
       t->on_message_opened(fm_.id(), msg.group, key_id, msg.view_id, st.view.view_id);
     }
-    util::Reader r(inner);
-    const bool signed_msg = r.u8() != 0;
+    auto inner = util::decode<SignedPayload<util::Bytes>>(plain);
     std::optional<crypto::SchnorrSignature> sig;
-    if (signed_msg) sig = crypto::SchnorrSignature::decode(r.bytes());
-    util::Bytes payload = r.bytes();
+    if (inner.signature) sig = util::decode<crypto::SchnorrSignature>(*inner.signature);
+    util::Bytes payload = std::move(inner.payload);
 
     if (app_type == kShareCommitType) {
       // Commitment announcement: record g^{N_sender} for this key epoch.

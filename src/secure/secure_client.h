@@ -47,6 +47,48 @@ constexpr std::int16_t kSecureDataType = -30001;
 /// authentication; never surfaced to the application.
 constexpr std::int16_t kShareCommitType = -30002;
 
+/// A kSecureDataType body: the key id it is sealed under, the application
+/// message type and the sealed SignedPayload.
+struct DataEnvelope {
+  util::Bytes key_id;
+  std::int16_t app_type = 0;
+  util::SharedBytes sealed;
+
+  template <class S>
+  void fields(S& s) {
+    s(key_id, app_type, sealed);
+  }
+};
+
+/// The plaintext inside DataEnvelope::sealed: the sender's encoded
+/// crypto::SchnorrSignature when it signs, then the application payload.
+/// Sealed from the outbox's buffer (Payload = const Bytes&), opened into
+/// its own (Payload = Bytes).
+template <class Payload>
+struct SignedPayload {
+  std::optional<util::Bytes> signature;
+  Payload payload;
+
+  template <class S>
+  void fields(S& s) {
+    s(signature, payload);
+  }
+};
+
+/// A key-agreement unicast with the view it belongs to (multicasts get the
+/// view from VS delivery). Sent from the module's buffer (Payload = const
+/// Bytes&), received as a zero-copy slice (Payload = SharedBytes).
+template <class Payload>
+struct UnicastTag {
+  gcs::GroupViewId vid;
+  Payload payload;
+
+  template <class S>
+  void fields(S& s) {
+    s(vid, payload);
+  }
+};
+
 struct SecureGroupConfig {
   std::string ka_module = "cliques";
   std::string cipher = "blowfish-cbc-hmac";
@@ -141,7 +183,8 @@ class SecureGroupClient {
   void on_view(ViewFn fn) { on_view_ = std::move(fn); }
   void on_rekey(RekeyFn fn) { on_rekey_ = std::move(fn); }
 
-  /// Joins a secure group with the given module/cipher configuration.
+  /// Joins a secure group with the given module/cipher configuration. A
+  /// group already joined (and not left since) is left as it is.
   void join(const gcs::GroupName& group, SecureGroupConfig config = {});
   void leave(const gcs::GroupName& group);
   void disconnect() { fm_.disconnect(); }
@@ -222,6 +265,8 @@ class SecureGroupClient {
     GroupCounters counters;
     runtime::TimerId refresh_timer = 0;
     bool refresh_timer_armed = false;
+    /// leave() was called: the next self-leave view ends this incarnation.
+    bool leaving = false;
 
     // Deferred-compute bookkeeping. Generations are client-wide monotonic,
     // so a completion can never match a different incarnation of the group.
@@ -299,6 +344,7 @@ class SecureGroupClient {
   void flush_outbox(const gcs::GroupName& group, GroupState& st);
   void deliver_ciphertext(GroupState& st, const gcs::Message& msg, bool buffer_unknown);
   void arm_refresh_timer(const gcs::GroupName& group, GroupState& st);
+  void cancel_timers(GroupState& st);
   static util::Bytes make_aad(const gcs::GroupName& group, const util::Bytes& key_id);
 
   flush::FlushMailbox fm_;

@@ -208,7 +208,7 @@ TEST(CkdProtocol, MessageCodecsRoundTrip) {
   m.controller = mid(1);
   m.encrypted_keys.emplace_back(mid(2), Bignum::from_hex("deadbeef"));
   m.encrypted_keys.emplace_back(mid(3), Bignum::from_hex("cafe"));
-  const CkdKeyDistMsg d = CkdKeyDistMsg::decode(m.encode());
+  const auto d = util::decode<CkdKeyDistMsg>(m.encode());
   EXPECT_EQ(d.controller, m.controller);
   ASSERT_EQ(d.encrypted_keys.size(), 2u);
   EXPECT_EQ(d.encrypted_keys[1].second, Bignum::from_hex("cafe"));

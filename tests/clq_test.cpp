@@ -334,7 +334,7 @@ TEST(ClqProtocol, MessageCodecsRoundTrip) {
   ClqContext& c = g.ctx(mid(1));
   g.dir_.ensure(mid(2), g.rnd_);
   const ClqHandoffMsg handoff = c.join_handoff(mid(2));
-  const ClqHandoffMsg decoded = ClqHandoffMsg::decode(handoff.encode());
+  const auto decoded = util::decode<ClqHandoffMsg>(handoff.encode());
   EXPECT_EQ(decoded.old_controller, handoff.old_controller);
   EXPECT_EQ(decoded.new_member, handoff.new_member);
   ASSERT_EQ(decoded.partials.size(), handoff.partials.size());

@@ -119,9 +119,9 @@ TEST(DaemonKey, ClientChurnDoesNotRekeyDaemons) {
 TEST(DaemonKey, DistCodecRoundTrip) {
   const ViewId view{42, 3};
   const util::Bytes sealed = bytes_of("sealed key bytes");
-  const auto [v, k] = DaemonKeyAgent::decode_dist(DaemonKeyAgent::encode_dist(view, sealed));
-  EXPECT_EQ(v, view);
-  EXPECT_EQ(k, sealed);
+  const auto dist = util::decode<KeyDistMsg>(DaemonKeyAgent::encode_dist(view, sealed));
+  EXPECT_EQ(dist.view, view);
+  EXPECT_EQ(dist.sealed_key, sealed);
 }
 
 TEST(DaemonKey, NoKeyWithoutStore) {

@@ -79,7 +79,7 @@ TEST(Schnorr, CodecRoundTrip) {
   const Bignum x = g.random_share(rnd);
   const Bignum y = g.exp_g(x);
   const SchnorrSignature sig = schnorr_sign(g, x, y, bytes_of("codec"), rnd);
-  const SchnorrSignature d = SchnorrSignature::decode(sig.encode());
+  const auto d = util::decode<SchnorrSignature>(sig.encode());
   EXPECT_EQ(d.challenge, sig.challenge);
   EXPECT_EQ(d.response, sig.response);
 }

@@ -125,6 +125,8 @@ TEST(SslintFixtures, FlagsEveryPlantedViolationAtItsLine) {
       {"src/gcs/bad_reach.cpp", 3, "layer-reach"},
       {"src/gcs/bad_socket.cpp", 4, "socket-headers"},
       {"src/gcs/bad_socket.cpp", 5, "socket-headers"},
+      // The gate's service-byte bug: a Reader value cast to an enum.
+      {"src/gcs/bad_wire_cast.cpp", 6, "reader-cast"},
       // The a -> b -> c -> a cycle: every edge that can reach sim is
       // flagged. A DFS memo caching partial sets across the back edge
       // would miss cyc_c.h, cyc_victim.cpp and cyc_b.h's cycle edge.
