@@ -10,6 +10,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@ namespace {
 using crypto::DhGroup;
 using gcs::GroupName;
 using testing::Cluster;
+using testing::DelayedCompute;
 
 constexpr const char* kGroup = "storm";
 
@@ -159,49 +161,102 @@ TEST_P(BatchedStorm, LeaveThenRejoinInsideWindowSim) {
 
 // With NO batch window, a cascade of views during an in-flight agreement
 // exercises the generation guard instead: each superseding view bumps the
-// KA generation, stale deferred compute results are dropped on arrival,
-// and the round restarted from the newest view still converges — for every
-// module, joins and leaves interleaved.
+// KA generation, stale results are dropped on arrival, and the round
+// restarted from the newest view still converges — for every module, joins
+// and leaves interleaved. Inline compute finishes every call before the
+// next view; a DelayedCompute completes calls after newer views landed,
+// which is what drives the superseded-result branch.
 TEST_P(BatchedStorm, CascadeDuringAgreementDropsStaleComputeSim) {
-  Cluster c(3);
-  ASSERT_TRUE(c.converge(3));
-  cliques::KeyDirectory dir(DhGroup::tiny64());
-  const SecureGroupConfig cfg = config(/*window=*/0);
+  constexpr runtime::Time kInline = ~runtime::Time{0};
+  for (const runtime::Time delay : {kInline, runtime::Time{0}, runtime::Time{500},
+                                    runtime::Time{8000}}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " compute delay " +
+                   (delay == kInline ? std::string("inline") : std::to_string(delay) + " us"));
+      DelayedCompute delayed(delay);
+      Cluster c(3, seed, {}, {}, delay == kInline ? nullptr : &delayed);
+      delayed.clock = &c.sched;
+      ASSERT_TRUE(c.converge(3));
+      cliques::KeyDirectory dir(DhGroup::tiny64());
+      const SecureGroupConfig cfg = config(/*window=*/0);
 
-  auto make = [&](std::size_t daemon, std::uint64_t seed) {
-    return std::make_unique<SecureGroupClient>(*c.daemons[daemon], dir, seed);
-  };
-  auto a = make(0, 1);
-  a->join(kGroup, cfg);
-  ASSERT_TRUE(c.run_until([&] { return a->has_key(kGroup); }, 5 * sim::kSecond));
+      auto make = [&](std::size_t daemon, std::uint64_t client_seed) {
+        return std::make_unique<SecureGroupClient>(*c.daemons[daemon], dir, client_seed);
+      };
+      auto a = make(0, 1);
+      a->join(kGroup, cfg);
+      ASSERT_TRUE(c.run_until([&] { return a->has_key(kGroup); }, 5 * sim::kSecond));
 
-  // Fire the cascade with no settling in between: every view lands while
-  // the previous agreement is still in flight.
-  auto b = make(1, 2);
-  auto d = make(2, 3);
-  auto e = make(2, 4);
-  b->join(kGroup, cfg);
-  d->join(kGroup, cfg);
-  e->join(kGroup, cfg);
-  b->leave(kGroup);
+      // Fire the cascade with no settling in between: every view lands
+      // while the previous agreement is still in flight.
+      auto b = make(1, 2);
+      auto d = make(2, 3);
+      auto e = make(2, 4);
+      b->join(kGroup, cfg);
+      d->join(kGroup, cfg);
+      e->join(kGroup, cfg);
+      b->leave(kGroup);
 
-  ASSERT_TRUE(c.run_until(
-      [&] {
-        for (SecureGroupClient* m : {a.get(), d.get(), e.get()}) {
-          const gcs::GroupView* v = m->current_view(kGroup);
-          if (v == nullptr || v->members.size() != 3 || !m->has_key(kGroup)) return false;
-        }
-        return true;
-      },
-      30 * sim::kSecond))
-      << "cascade with superseded agreements never converged";
-  c.run_for(runtime::kSecond);
+      const bool converged = c.run_until(
+          [&] {
+            for (SecureGroupClient* m : {a.get(), d.get(), e.get()}) {
+              const gcs::GroupView* v = m->current_view(kGroup);
+              if (v == nullptr || v->members.size() != 3 || !m->has_key(kGroup)) return false;
+            }
+            return true;
+          },
+          30 * sim::kSecond);
+      EXPECT_TRUE(converged) << "cascade with superseded agreements never converged";
+      if (!converged) continue;
+      c.run_for(runtime::kSecond);
 
-  const util::Bytes ref = a->key_material(kGroup, 32);
-  EXPECT_EQ(d->key_material(kGroup, 32), ref);
-  EXPECT_EQ(e->key_material(kGroup, 32), ref);
-  // Unbatched: the surviving member paid one rekey per installed view.
-  EXPECT_GE(a->group_stats(kGroup).rekeys, 2u);
+      const util::Bytes ref = a->key_material(kGroup, 32);
+      EXPECT_EQ(d->key_material(kGroup, 32), ref);
+      EXPECT_EQ(e->key_material(kGroup, 32), ref);
+      // Unbatched: the surviving member paid one rekey per installed view.
+      EXPECT_GE(a->group_stats(kGroup).rekeys, 2u);
+    }
+  }
+}
+
+// Back-to-back joins at one instant: the daemons fold the burst into a few
+// views, and the flush layer may collapse a cascade into one view whose
+// `joined` list omits members that are new to a survivor's module. Every
+// member must still end in the full view under one key.
+TEST_P(BatchedStorm, BackToBackJoinsSim) {
+  constexpr std::size_t kMembers = 12;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Cluster c(3, seed);
+    ASSERT_TRUE(c.converge(3));
+    cliques::KeyDirectory dir(DhGroup::tiny64());
+    const SecureGroupConfig cfg = config(/*window=*/0);
+    std::vector<std::unique_ptr<SecureGroupClient>> members;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      members.push_back(std::make_unique<SecureGroupClient>(*c.daemons[i % 3], dir, 100 + i));
+    }
+    for (auto& m : members) m->join(kGroup, cfg);
+
+    const bool keyed = c.run_until(
+        [&] {
+          for (const auto& m : members) {
+            const gcs::GroupView* v = m->current_view(kGroup);
+            if (v == nullptr || v->members.size() != kMembers || !m->has_key(kGroup)) {
+              return false;
+            }
+          }
+          return true;
+        },
+        20 * sim::kSecond);
+    std::size_t holding_key = 0;
+    for (const auto& m : members) holding_key += m->has_key(kGroup) ? 1 : 0;
+    EXPECT_TRUE(keyed) << holding_key << " of " << kMembers << " members hold a key";
+    if (!keyed) continue;
+    const util::Bytes ref = members.front()->key_material(kGroup, 32);
+    for (const auto& m : members) {
+      EXPECT_EQ(m->key_material(kGroup, 32), ref) << m->id().to_string();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,10 +15,15 @@
 // assertions, even when the whole suite runs in one process. The registry
 // is declared before the daemons and outlives them; components a test
 // builds must be destroyed before its Cluster.
+//
+// The daemons' Env carries the inline compute backend unless the test
+// passes its own runtime::Compute (e.g. DelayedCompute below), which then
+// runs every key-agreement call the secure clients offload.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "gcs/daemon.h"
 #include "gcs/mailbox.h"
 #include "obs/metrics.h"
+#include "runtime/compute.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 #include "util/msgpath.h"
@@ -68,11 +74,36 @@ class RecordingClient {
   gcs::Mailbox mbox_;
 };
 
+/// Test-only compute backend: runs each offloaded call `delay` of virtual
+/// time after submission (work, then its continuation, in one scheduler
+/// event), so newer views can land while a key-agreement call is still
+/// outstanding. Bind `clock` to the cluster's scheduler before any client
+/// offloads.
+class DelayedCompute : public runtime::Compute {
+ public:
+  explicit DelayedCompute(runtime::Time delay) : delay_(delay) {}
+
+  void offload(std::function<void()> work, std::function<void()> done) override {
+    clock->after(delay_, [work = std::move(work), done = std::move(done)] {
+      work();
+      done();
+    });
+  }
+
+  runtime::Clock* clock = nullptr;
+
+ private:
+  runtime::Time delay_;
+};
+
 /// N daemons on a simulated LAN, all started and merged into one view.
 class Cluster {
  public:
+  /// `compute` (optional, must outlive the cluster) replaces the daemons'
+  /// inline compute backend.
   explicit Cluster(std::size_t n, std::uint64_t seed = 42,
-                   gcs::TimingConfig timing = {}, sim::LinkModel link = {})
+                   gcs::TimingConfig timing = {}, sim::LinkModel link = {},
+                   runtime::Compute* compute = nullptr)
       : net(sched, seed, link), trace_scope_(checker), metrics_scope_(metrics) {
     util::msgpath_reset();
     std::vector<gcs::DaemonId> ids;
@@ -82,8 +113,9 @@ class Cluster {
       daemons.push_back(nullptr);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      auto d = std::make_unique<gcs::Daemon>(ss::runtime::Env{&sched, &net, static_cast<gcs::DaemonId>(i)}, ids,
-                                             timing, seed + i);
+      runtime::Env env{&sched, &net, static_cast<gcs::DaemonId>(i)};
+      if (compute != nullptr) env.compute = compute;
+      auto d = std::make_unique<gcs::Daemon>(env, ids, timing, seed + i);
       const sim::NodeId node = net.add_node(d.get());
       (void)node;
       daemons[i] = std::move(d);
