@@ -26,27 +26,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/drivers.h"
-#include "crypto/drbg.h"
-#include "crypto/exp_counter.h"
-#include "secure/ka_module.h"
+#include "bench/ka_bus.h"
 
 using namespace ss;
 using Clock = std::chrono::steady_clock;
 
 namespace {
 
-using gcs::GroupView;
-using gcs::MemberId;
 using gcs::MembershipReason;
-
-MemberId mid(std::uint32_t i) { return MemberId{i, 1}; }
 
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "bench_ablation_rekey: FAILED: %s\n", msg.c_str());
@@ -64,147 +56,20 @@ struct RoundCost {
   double wall_ms = 0;
 };
 
-/// Serial in-memory bus over KA modules with per-member exponentiation
-/// attribution: every module entry (membership event, protocol message,
-/// deferred compute step) runs inline between exp-tally snapshots booked
-/// against that member.
-struct KaBus {
-  KaBus(const std::string& ka_name, const crypto::DhGroup& dh)
-      : dh_(dh), dir_(dh), name_(ka_name) {}
-
-  void add_member(std::uint32_t i) {
-    crypto::HmacDrbg boot(9000 + i, "ablation");
-    dir_.ensure(mid(i), boot);
-    rnds_.push_back(std::make_unique<crypto::HmacDrbg>(i, "ablation-member"));
-    secure::KaModuleEnv env;
-    env.dh = &dh_;
-    env.directory = &dir_;
-    env.rnd = rnds_.back().get();
-    env.self = mid(i);
-    modules_[mid(i)] = secure::KaRegistry::instance().create(name_, env);
+RoundCost collect(const bench::KaBus& bus) {
+  RoundCost c;
+  for (const auto& [id, exps] : bus.tallies()) {
+    c.total_exps += exps;
+    c.max_member_exps = std::max(c.max_member_exps, exps);
   }
+  return c;
+}
 
-  void remove_member(std::uint32_t i) { modules_.erase(mid(i)); }
-
-  GroupView make_view(const std::vector<std::uint32_t>& members, MembershipReason reason,
-                      const std::vector<std::uint32_t>& joined,
-                      const std::vector<std::uint32_t>& left) {
-    GroupView v;
-    v.group = "ablation";
-    v.view_id = gcs::GroupViewId{gcs::ViewId{++round_, 0}, 0};
-    for (auto m : members) v.members.push_back(mid(m));
-    v.reason = reason;
-    for (auto m : joined) v.joined.push_back(mid(m));
-    for (auto m : left) v.left.push_back(mid(m));
-    for (auto m : members) {
-      if (std::find(joined.begin(), joined.end(), m) == joined.end()) {
-        v.transitional.push_back(mid(m));
-      }
-    }
-    return v;
-  }
-
-  /// Delivers a view to every module and pumps the resulting protocol
-  /// traffic to quiescence, attributing exps to the executing member.
-  void deliver_view(const GroupView& v) {
-    current_view_ = v;
-    for (auto& [id, module] : modules_) {
-      secure::KaMembershipEvent ev{v, v.joined, v.left, 1};
-      enqueue(attributed(id, [&] { return module->on_membership(ev); }), id);
-    }
-    pump();
-  }
-
-  void enqueue(secure::KaActions actions, const MemberId& from) {
-    while (actions.pending_compute) {
-      secure::KaActions::Deferred d = std::move(*actions.pending_compute);
-      actions.pending_compute.reset();
-      actions.merge(attributed(from, [&] { return d.step(); }));
-    }
-    for (auto& u : actions.unicasts) {
-      gcs::Message m;
-      m.group = "ablation";
-      m.sender = from;
-      m.msg_type = u.msg_type;
-      m.payload = u.payload;
-      m.view_id = current_view_.view_id;
-      queue_.emplace_back(u.to, m);
-    }
-    for (auto& mc : actions.multicasts) {
-      for (auto& [id, _] : modules_) {
-        if (std::find(current_view_.members.begin(), current_view_.members.end(), id) ==
-            current_view_.members.end()) {
-          continue;
-        }
-        gcs::Message m;
-        m.group = "ablation";
-        m.sender = from;
-        m.msg_type = mc.msg_type;
-        m.payload = mc.payload;
-        m.view_id = current_view_.view_id;
-        queue_.emplace_back(id, m);
-      }
-    }
-  }
-
-  void pump() {
-    while (!queue_.empty()) {
-      auto [to, msg] = queue_.front();
-      queue_.pop_front();
-      ++messages_processed;
-      auto it = modules_.find(to);
-      if (it == modules_.end()) continue;
-      enqueue(attributed(to, [&] { return it->second->on_message(msg); }), to);
-    }
-  }
-
-  std::uint64_t messages_processed = 0;
-
-  void assert_all_keyed(const std::string& what) {
-    util::Bytes ref;
-    for (const auto& m : current_view_.members) {
-      auto it = modules_.find(m);
-      if (it == modules_.end() || !it->second->has_key())
-        die(name_ + " " + what + ": member " + m.to_string() + " not keyed");
-      const util::Bytes k = it->second->session_key(16);
-      if (ref.empty()) {
-        ref = k;
-      } else if (k != ref) {
-        die(name_ + " " + what + ": member " + m.to_string() + " disagrees on the key");
-      }
-    }
-  }
-
-  void reset_tallies() { tallies_.clear(); }
-
-  RoundCost collect() const {
-    RoundCost c;
-    for (const auto& [id, exps] : tallies_) {
-      c.total_exps += exps;
-      c.max_member_exps = std::max(c.max_member_exps, exps);
-    }
-    return c;
-  }
-
- private:
-  template <typename Fn>
-  secure::KaActions attributed(const MemberId& id, Fn&& fn) {
-    const crypto::ExpTally before = crypto::exp_tally();
-    secure::KaActions actions = fn();
-    tallies_[id] += (crypto::exp_tally() - before).total();
-    return actions;
-  }
-
-  const crypto::DhGroup& dh_;
-  cliques::KeyDirectory dir_;
-  std::string name_;
-  std::vector<std::unique_ptr<crypto::HmacDrbg>> rnds_;
-  std::map<MemberId, std::unique_ptr<secure::KeyAgreementModule>> modules_;
-  std::deque<std::pair<MemberId, gcs::Message>> queue_;
-  GroupView current_view_;
-  std::map<MemberId, std::uint64_t> tallies_;
-  std::uint64_t round_ = 0;
-};
+void assert_all_keyed(const bench::KaBus& bus, const std::string& module,
+                      const std::string& what) {
+  const std::string failure = bus.agreement_failure();
+  if (!failure.empty()) die(module + " " + what + ": " + failure);
+}
 
 struct SizeResult {
   std::uint64_t n = 0;
@@ -213,9 +78,9 @@ struct SizeResult {
   RoundCost leave;
 };
 
-SizeResult run_module_at(const std::string& module, const crypto::DhGroup& dh,
+SizeResult measure_module_at(const std::string& module, const crypto::DhGroup& dh,
                          std::uint64_t n) {
-  KaBus bus(module, dh);
+  bench::KaBus bus(module, dh, "ablation", 9000);
   SizeResult r;
   r.n = n;
 
@@ -239,7 +104,7 @@ SizeResult run_module_at(const std::string& module, const crypto::DhGroup& dh,
       bus.deliver_view(bus.make_view(members, MembershipReason::kJoin, {i}, {}));
     }
   }
-  bus.assert_all_keyed("bootstrap");
+  assert_all_keyed(bus, module, "bootstrap");
   r.bootstrap_ms = ms_since(t0);
   std::fprintf(stderr, "  %s n=%llu bootstrap: %.0f ms, %llu msgs\n", module.c_str(),
                static_cast<unsigned long long>(n), r.bootstrap_ms,
@@ -253,9 +118,9 @@ SizeResult run_module_at(const std::string& module, const crypto::DhGroup& dh,
   bus.reset_tallies();
   t0 = Clock::now();
   bus.deliver_view(bus.make_view(members, MembershipReason::kJoin, {joiner}, {}));
-  r.join = bus.collect();
+  r.join = collect(bus);
   r.join.wall_ms = ms_since(t0);
-  bus.assert_all_keyed("join");
+  assert_all_keyed(bus, module, "join");
   std::fprintf(stderr, "  %s n=%llu join: %.0f ms, %llu msgs\n", module.c_str(),
                static_cast<unsigned long long>(n), r.join.wall_ms,
                static_cast<unsigned long long>(bus.messages_processed));
@@ -269,9 +134,9 @@ SizeResult run_module_at(const std::string& module, const crypto::DhGroup& dh,
   bus.reset_tallies();
   t0 = Clock::now();
   bus.deliver_view(bus.make_view(members, MembershipReason::kLeave, {}, {leaver}));
-  r.leave = bus.collect();
+  r.leave = collect(bus);
   r.leave.wall_ms = ms_since(t0);
-  bus.assert_all_keyed("leave");
+  assert_all_keyed(bus, module, "leave");
   return r;
 }
 
@@ -327,7 +192,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::vector<SizeResult>> results;
   for (const std::string& m : modules) {
     for (std::uint64_t n : sizes) {
-      results[m].push_back(run_module_at(m, dh, n));
+      results[m].push_back(measure_module_at(m, dh, n));
       std::fprintf(stderr, "%s n=%llu: join max %llu exps, leave max %llu exps\n", m.c_str(),
                    static_cast<unsigned long long>(n),
                    static_cast<unsigned long long>(results[m].back().join.max_member_exps),

@@ -14,7 +14,8 @@
 //             view (adds the n-member acknowledgement round).
 //   secure  — secure Spread with Cliques at the configured modulus: join ->
 //             every member holds the new group key. Real crypto CPU time is
-//             charged into the virtual clock (runtime::ComputeTimer), so totals
+//             charged into the virtual clock (each key-agreement call's
+//             crypto::ComputeJob CPU time, via charge_crypto_time), so totals
 //             include both network rounds and exponentiation cost.
 // Set SS_TRACE=/path/to/trace.json to capture the full protocol timeline
 // (EVS view changes, flush rounds, Cliques rekeys with per-phase mod-exp

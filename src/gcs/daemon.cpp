@@ -13,7 +13,7 @@ Daemon::Daemon(const runtime::Env& env, std::vector<DaemonId> configured, Timing
                std::uint64_t seed, DaemonKeyStore* key_store)
     : clock_(*env.clock),
       net_(*env.net),
-      compute_(env.compute),
+      compute_(*env.compute),
       self_(env.self),
       configured_(std::move(configured)),
       timing_(timing),

@@ -110,11 +110,10 @@ class Daemon : public runtime::PacketSink {
   // --- introspection -------------------------------------------------------
   DaemonId id() const { return self_; }
   runtime::Clock& clock() { return clock_; }
-  /// Crypto offload executor inherited from the daemon's Env (null when the
-  /// backend provides none: compute then runs inline at the call site).
-  runtime::Compute* compute() { return compute_; }
+  /// Crypto offload executor inherited from the daemon's Env.
+  runtime::Compute& compute() { return compute_; }
   /// The environment this daemon runs in (for co-located components).
-  runtime::Env env() { return runtime::Env{&clock_, &net_, self_, compute_}; }
+  runtime::Env env() { return runtime::Env{&clock_, &net_, self_, &compute_}; }
   const ViewId& view() const { return view_id_; }
   const std::vector<DaemonId>& view_members() const { return view_members_; }
   bool is_operational() const { return state_ == DState::kOperational; }
@@ -260,7 +259,7 @@ class Daemon : public runtime::PacketSink {
 
   runtime::Clock& clock_;
   runtime::Transport& net_;
-  runtime::Compute* compute_ = nullptr;
+  runtime::Compute& compute_;
   DaemonId self_;
   std::vector<DaemonId> configured_;
   TimingConfig timing_;

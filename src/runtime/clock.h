@@ -51,7 +51,9 @@ class Clock {
   /// Accounts measured CPU time of a computation into the clock. The sim
   /// backend advances virtual time by d (computation is otherwise free at
   /// one instant); the realtime backend ignores it (the wall clock already
-  /// advanced while the computation ran). See runtime/compute_timer.h.
+  /// advanced while the computation ran). The secure layer charges each
+  /// key-agreement call's crypto::ComputeJob CPU time this way when
+  /// asked to (SecureGroupClient's charge_crypto_time).
   virtual void charge_time(Time d) = 0;
 };
 

@@ -19,7 +19,8 @@
 //
 // Backends:
 //   InlineCompute      — runs work();done() synchronously at the call site.
-//                        SimEnv uses this, so simulation stays
+//                        Every Env defaults to one shared instance (SimEnv
+//                        and hand-built Envs), so simulation stays
 //                        single-threaded, deterministic and bit-identical.
 //   RealtimeEnv        — per-node adapters submit to a WorkerPool and post
 //                        done back to the node's event lane; with no pool
@@ -58,6 +59,13 @@ class InlineCompute : public Compute {
     done();
   }
 };
+
+/// The process-wide inline backend (stateless, so one instance serves
+/// every Env that brings no Compute of its own).
+inline Compute* inline_compute() {
+  static InlineCompute instance;
+  return &instance;
+}
 
 /// Index of the pool worker executing the calling thread, or -1 from event
 /// lanes / inline execution. Lets offloaded work attribute observability

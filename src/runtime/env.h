@@ -18,13 +18,13 @@ namespace ss::runtime {
 
 /// Cheap value type: copy freely. The referenced Clock/Transport/Compute
 /// are owned by the backend (SimEnv / RealtimeEnv) and must outlive every
-/// actor. `compute` may be null (hand-built test Envs): consumers treat a
-/// missing seam as "run compute inline", which is the sim semantics.
+/// actor. `compute` is never null: an Env built as {clock, net, self}
+/// runs compute inline, which is the sim semantics.
 struct Env {
   Clock* clock = nullptr;
   Transport* net = nullptr;
   NodeId self = kInvalidNode;
-  Compute* compute = nullptr;
+  Compute* compute = inline_compute();
 };
 
 }  // namespace ss::runtime

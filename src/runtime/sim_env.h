@@ -36,10 +36,10 @@ class SimEnv {
 
   /// The Env for a node. The id need not be allocated yet: harnesses that
   /// construct actors before registering them (the historical order) mint
-  /// the Env first and bind afterwards. Compute is the inline executor:
-  /// offloaded jobs run synchronously at the call site, so the simulation
-  /// stays single-threaded, deterministic and bit-identical.
-  Env env(NodeId self) { return Env{&sched_, &net_, self, &compute_}; }
+  /// the Env first and bind afterwards. Compute is the default inline
+  /// executor: offloaded jobs run synchronously at the call site, so the
+  /// simulation stays single-threaded, deterministic and bit-identical.
+  Env env(NodeId self) { return Env{&sched_, &net_, self}; }
 
   Clock& clock() { return sched_; }
   Transport& transport() { return net_; }
@@ -66,7 +66,6 @@ class SimEnv {
  private:
   sim::Scheduler sched_;
   sim::SimNetwork net_;
-  InlineCompute compute_;
 };
 
 }  // namespace ss::runtime

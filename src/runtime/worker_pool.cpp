@@ -11,7 +11,9 @@ namespace {
 thread_local int tl_worker_index = -1;
 }  // namespace
 
-WorkerPool::WorkerPool(std::size_t threads) {
+WorkerPool::WorkerPool(std::size_t threads)
+    : queue_depth_gauge_(obs::MetricsRegistry::current().gauge("runtime.pool.queue_depth")),
+      inflight_gauge_(obs::MetricsRegistry::current().gauge("runtime.pool.inflight")) {
   const std::size_t n = threads == 0 ? 1 : threads;
   threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,11 +33,10 @@ WorkerPool::~WorkerPool() {
 int WorkerPool::current_worker() { return tl_worker_index; }
 
 void WorkerPool::publish_gauges_locked() {
-  // Queue pressure is the signal an operator watches to size the pool; the
-  // registry is thread-safe, and gauge writes are one relaxed store.
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
-  reg.gauge("runtime.pool.queue_depth").set(static_cast<double>(stats_.queue_depth));
-  reg.gauge("runtime.pool.inflight").set(static_cast<double>(stats_.inflight));
+  // Queue pressure is the signal an operator watches to size the pool;
+  // gauge writes are one relaxed store.
+  queue_depth_gauge_.set(static_cast<double>(stats_.queue_depth));
+  inflight_gauge_.set(static_cast<double>(stats_.inflight));
 }
 
 void WorkerPool::submit(std::function<void()> task) {

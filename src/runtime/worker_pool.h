@@ -25,11 +25,17 @@
 #include "util/mutex.h"
 #include "util/thread_safety.h"
 
+namespace ss::obs {
+class Gauge;
+}  // namespace ss::obs
+
 namespace ss::runtime {
 
 class WorkerPool {
  public:
-  /// Starts `threads` workers (clamped to >= 1).
+  /// Starts `threads` workers (clamped to >= 1). The runtime.pool gauges
+  /// live in the metrics registry current at construction, which must
+  /// outlive the pool.
   explicit WorkerPool(std::size_t threads);
   ~WorkerPool();
 
@@ -63,6 +69,9 @@ class WorkerPool {
   void worker(int index) SS_EXCLUDES(mu_);
   void publish_gauges_locked() SS_REQUIRES(mu_);
 
+  // runtime.pool.queue_depth / .inflight, resolved once at construction.
+  obs::Gauge& queue_depth_gauge_;
+  obs::Gauge& inflight_gauge_;
   mutable util::Mutex mu_;
   util::CondVar cv_;        // workers wait for tasks / stop
   util::CondVar idle_cv_;   // drain() waits for quiescence

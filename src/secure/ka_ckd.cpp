@@ -17,9 +17,7 @@ void CkdKaModule::reset_context() {
   ctx_ = std::make_unique<ckd::CkdContext>(*env_.dh, *env_.directory, env_.self, *env_.rnd);
 }
 
-// Heavy half of key distribution; runs inside a deferred step (possibly
-// on a pool worker).
-KaActions CkdKaModule::distribute_now() {
+KaActions CkdKaModule::distribute() {
   KaActions actions;
   if (!ctx_->pairwise_ready(view_.members)) return actions;
   const CkdKeyDistMsg dist = ctx_->distribute(view_.members);
@@ -28,13 +26,6 @@ KaActions CkdKaModule::distribute_now() {
   keyed_current_ = true;
   actions.key_ready = true;
   return actions;
-}
-
-KaActions CkdKaModule::maybe_distribute() {
-  // Readiness is a cheap map check; the distribution itself (sealing Ks
-  // under every pairwise key) is the deferred work.
-  if (!ctx_->pairwise_ready(view_.members)) return none();
-  return KaActions::deferred("ckd.distribute", [this] { return distribute_now(); });
 }
 
 KaActions CkdKaModule::on_membership(const KaMembershipEvent& event) {
@@ -46,36 +37,30 @@ KaActions CkdKaModule::on_membership(const KaMembershipEvent& event) {
   last_controller_ = view.members.empty() ? MemberId{} : view.members.front();
 
   if (view.members.size() == 1 && view.members.front() == env_.self) {
-    return KaActions::deferred("ckd.singleton", [this, members = view.members] {
-      reset_context();
-      // process-wide singleton: context constructor generated a key.
-      ctx_->distribute(members);  // refresh Ks for the new epoch
-      keyed_current_ = true;
-      KaActions a;
-      a.key_ready = true;
-      return a;
-    });
+    reset_context();
+    // process-wide singleton: context constructor generated a key.
+    ctx_->distribute(view.members);  // refresh Ks for the new epoch
+    keyed_current_ = true;
+    KaActions a;
+    a.key_ready = true;
+    return a;
   }
 
   if (i_am_controller()) {
     // Drop pairwise keys with members that departed — the batch's aggregate
-    // leave set, so a coalesced cascade forgets every leaver at once (cheap
-    // map surgery); the Round 1 exponentiations are the deferred work.
+    // leave set, so a coalesced cascade forgets every leaver at once.
     for (const auto& m : event.left) ctx_->forget_pairwise(m);
     if (previous_controller != env_.self) {
       // Just became controller (predecessor departed): start from scratch.
       ctx_->reset_pairwise();
     }
-    return KaActions::deferred("ckd.pairwise_begin", [this, members = view.members] {
-      KaActions actions;
-      auto round1s = ctx_->pairwise_begin(members);
-      for (auto& [target, r1] : round1s) {
-        actions.unicasts.push_back(
-            {target, static_cast<std::int16_t>(KaMsgType::kCkdRound1), r1.encode()});
-      }
-      actions.merge(distribute_now());
-      return actions;
-    });
+    KaActions actions;
+    for (auto& [target, r1] : ctx_->pairwise_begin(view.members)) {
+      actions.unicasts.push_back(
+          {target, static_cast<std::int16_t>(KaMsgType::kCkdRound1), r1.encode()});
+    }
+    actions.merge(distribute());
+    return actions;
   }
 
   // Regular member: if the controller changed, our old blinding key is
@@ -94,36 +79,25 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
       case KaMsgType::kCkdRound1: {
         const auto r1 = util::decode<CkdRound1Msg>(msg.payload);
         if (r1.controller != view_.members.front()) break;  // stale controller
-        return KaActions::deferred("ckd.pairwise_respond", [this, r1] {
-          KaActions out;
-          const CkdRound2Msg r2 = ctx_->pairwise_respond(r1);
-          out.unicasts.push_back(
-              {r1.controller, static_cast<std::int16_t>(KaMsgType::kCkdRound2), r2.encode()});
-          return out;
-        });
+        const CkdRound2Msg r2 = ctx_->pairwise_respond(r1);
+        actions.unicasts.push_back(
+            {r1.controller, static_cast<std::int16_t>(KaMsgType::kCkdRound2), r2.encode()});
+        break;
       }
       case KaMsgType::kCkdRound2: {
         if (!i_am_controller()) break;
         const auto r2 = util::decode<CkdRound2Msg>(msg.payload);
         if (!view_.contains(r2.member)) break;
-        return KaActions::deferred("ckd.pairwise_complete", [this, r2] {
-          KaActions out;
-          ctx_->pairwise_complete(r2);
-          out.merge(distribute_now());
-          return out;
-        });
+        ctx_->pairwise_complete(r2);
+        return distribute();
       }
       case KaMsgType::kCkdKeyDist: {
         const auto dist = util::decode<CkdKeyDistMsg>(msg.payload);
         if (dist.controller == env_.self) break;  // own echo
-        return KaActions::deferred(
-            "ckd.process_key_dist", [this, dist, members = view_.members] {
-              KaActions out;
-              ctx_->process_key_dist(dist, members);
-              keyed_current_ = true;
-              out.key_ready = true;
-              return out;
-            });
+        ctx_->process_key_dist(dist, view_.members);
+        keyed_current_ = true;
+        actions.key_ready = true;
+        break;
       }
       case KaMsgType::kRefreshRequest:
         if (i_am_controller() && keyed_current_) return request_refresh();
@@ -133,6 +107,7 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
     }
   } catch (const std::exception& e) {
     SS_LOG_WARN("ckd-ka", env_.self.to_string(), " dropped protocol message: ", e.what());
+    return none();
   }
   return actions;
 }
@@ -140,9 +115,7 @@ KaActions CkdKaModule::on_message(const gcs::Message& msg) {
 KaActions CkdKaModule::request_refresh() {
   KaActions actions;
   if (!have_view_) return actions;
-  if (i_am_controller()) {
-    return maybe_distribute();
-  }
+  if (i_am_controller()) return distribute();
   actions.multicasts.push_back({static_cast<std::int16_t>(KaMsgType::kRefreshRequest), {}});
   return actions;
 }

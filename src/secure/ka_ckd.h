@@ -25,10 +25,9 @@ class CkdKaModule final : public KeyAgreementModule {
   bool i_am_controller() const {
     return have_view_ && !view_.members.empty() && view_.members.front() == env_.self;
   }
-  /// Controller: defer a distribution if every member has a pairwise key.
-  KaActions maybe_distribute();
-  /// The distribution itself (runs inside a deferred step).
-  KaActions distribute_now();
+  /// Controller: distributes a fresh group secret once every member has a
+  /// pairwise key (no actions before that).
+  KaActions distribute();
 
   KaModuleEnv env_;
   std::unique_ptr<ckd::CkdContext> ctx_;

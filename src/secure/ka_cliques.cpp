@@ -20,22 +20,6 @@ void KaActions::merge(KaActions&& other) {
   for (auto& u : other.unicasts) unicasts.push_back(std::move(u));
   for (auto& m : other.multicasts) multicasts.push_back(std::move(m));
   key_ready = key_ready || other.key_ready;
-  if (other.pending_compute) {
-    if (!pending_compute) {
-      pending_compute = std::move(other.pending_compute);
-    } else {
-      // Two deferred steps: chain them into one job, preserving order.
-      Deferred a = std::move(*pending_compute);
-      Deferred b = std::move(*other.pending_compute);
-      pending_compute =
-          Deferred{a.label + "+" + b.label,
-                   [first = std::move(a.step), second = std::move(b.step)]() mutable {
-                     KaActions r = first();
-                     r.merge(second());
-                     return r;
-                   }};
-    }
-  }
 }
 
 KaRegistry& KaRegistry::instance() {
@@ -110,15 +94,12 @@ KaActions CliquesKaModule::on_membership(const KaMembershipEvent& event) {
   keyed_current_ = false;
 
   if (view.members.size() == 1 && view.members.front() == env_.self) {
-    // Alone: fresh singleton context, keyed immediately. Context creation
-    // generates the singleton key (one exponentiation): deferred.
-    return KaActions::deferred("clq.singleton", [this] {
-      reset_context();
-      keyed_current_ = true;
-      KaActions a;
-      a.key_ready = true;
-      return a;
-    });
+    // Alone: fresh singleton context, keyed at creation.
+    reset_context();
+    keyed_current_ = true;
+    KaActions a;
+    a.key_ready = true;
+    return a;
   }
 
   // New to this agreement (in the batch's aggregate join set — for a
@@ -127,10 +108,8 @@ KaActions CliquesKaModule::on_membership(const KaMembershipEvent& event) {
       std::find(event.joined.begin(), event.joined.end(), env_.self) != event.joined.end();
   if (i_am_new) {
     // Joining/merging member: fresh context; wait for handoff or chain.
-    return KaActions::deferred("clq.reset", [this] {
-      reset_context();
-      return KaActions{};
-    });
+    reset_context();
+    return none();
   }
 
   // A joined member we still hold a share for left and rejoined within the
@@ -153,63 +132,46 @@ KaActions CliquesKaModule::start_operation() {
     if (!view.contains(m)) leavers.push_back(m);
   }
 
-  // Role selection above is cheap (set arithmetic over the view); the
-  // CLQ_API operations below are the modular-exponentiation work and run
-  // as deferred compute.
+  KaActions actions;
   if (unkeyed.empty()) {
     // Pure leave (voluntary leave, disconnect or partition — Table 1 maps
     // all three to LEAVE). Issued by the newest surviving keyed member.
-    if (!keyed.empty() && keyed.back() == env_.self) {
-      return KaActions::deferred(
-          "clq.leave",
-          [this, leavers = std::move(leavers), members = view.members, group = view.group] {
-            KaActions actions;
-            try {
-              const ClqBroadcastMsg bc = ctx_->leave(leavers);
-              actions.multicasts.push_back(
-                  {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
-              keyed_current_ = true;
-              actions.key_ready = true;
-            } catch (const std::logic_error&) {
-              // Stale partial set after cascaded controller loss: recovery rekey.
-              SS_LOG_INFO("clq-ka", env_.self.to_string(), " recovery rekey for ", group);
-              const ClqMergePartialMsg partial = ctx_->recovery_begin(members);
-              actions.multicasts.push_back(
-                  {static_cast<std::int16_t>(KaMsgType::kClqMergePartial), partial.encode()});
-            }
-            return actions;
-          });
+    if (keyed.empty() || keyed.back() != env_.self) return actions;
+    try {
+      const ClqBroadcastMsg bc = ctx_->leave(leavers);
+      actions.multicasts.push_back(
+          {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
+      keyed_current_ = true;
+      actions.key_ready = true;
+    } catch (const std::logic_error&) {
+      // Stale partial set after cascaded controller loss: recovery rekey.
+      SS_LOG_INFO("clq-ka", env_.self.to_string(), " recovery rekey for ", view.group);
+      const ClqMergePartialMsg partial = ctx_->recovery_begin(view.members);
+      actions.multicasts.push_back(
+          {static_cast<std::int16_t>(KaMsgType::kClqMergePartial), partial.encode()});
     }
-    return none();
+    return actions;
   }
 
   // Members without our key exist: merge them (covers Join-by-merge,
   // Merge, Partition+Merge cascades).
-  if (is_merge_initiator(view, keyed)) {
-    const bool single_clean_join = view.reason == gcs::MembershipReason::kJoin &&
-                                   unkeyed.size() == 1 && leavers.empty();
-    return KaActions::deferred(
-        "clq.initiate", [this, unkeyed = std::move(unkeyed), single_clean_join] {
-          KaActions actions;
-          if (single_clean_join) {
-            try {
-              const ClqHandoffMsg handoff = ctx_->join_handoff(unkeyed.front());
-              actions.unicasts.push_back({unkeyed.front(),
-                                          static_cast<std::int16_t>(KaMsgType::kClqHandoff),
-                                          handoff.encode()});
-              return actions;
-            } catch (const std::logic_error&) {
-              // Stale set: fall through to the merge path.
-            }
-          }
-          const ClqMergeChainMsg chain = ctx_->merge_begin(unkeyed);
-          actions.unicasts.push_back({unkeyed.front(),
-                                      static_cast<std::int16_t>(KaMsgType::kClqMergeChain),
-                                      chain.encode()});
-          return actions;
-        });
+  if (!is_merge_initiator(view, keyed)) return actions;
+  if (view.reason == gcs::MembershipReason::kJoin && unkeyed.size() == 1 && leavers.empty()) {
+    try {
+      const ClqHandoffMsg handoff = ctx_->join_handoff(unkeyed.front());
+      actions.unicasts.push_back({unkeyed.front(),
+                                  static_cast<std::int16_t>(KaMsgType::kClqHandoff),
+                                  handoff.encode()});
+      return actions;
+    } catch (const std::logic_error&) {
+      // Stale set: fall through to the merge path.
+    }
   }
-  return none();
+  const ClqMergeChainMsg chain = ctx_->merge_begin(unkeyed);
+  actions.unicasts.push_back({unkeyed.front(),
+                              static_cast<std::int16_t>(KaMsgType::kClqMergeChain),
+                              chain.encode()});
+  return actions;
 }
 
 KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
@@ -220,75 +182,55 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
       case KaMsgType::kClqHandoff: {
         const auto handoff = util::decode<ClqHandoffMsg>(msg.payload);
         if (handoff.new_member != env_.self) break;
-        return KaActions::deferred(
-            "clq.join_finalize", [this, handoff, members = view_.members] {
-              KaActions out;
-              const ClqBroadcastMsg bc = ctx_->join_finalize(handoff, members);
-              out.multicasts.push_back(
-                  {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
-              keyed_current_ = true;
-              out.key_ready = true;
-              return out;
-            });
+        const ClqBroadcastMsg bc = ctx_->join_finalize(handoff, view_.members);
+        actions.multicasts.push_back(
+            {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
+        keyed_current_ = true;
+        actions.key_ready = true;
+        break;
       }
       case KaMsgType::kClqBroadcast: {
         const auto bc = util::decode<ClqBroadcastMsg>(msg.payload);
         if (bc.controller == env_.self) break;  // own echo
-        return KaActions::deferred(
-            "clq.process_broadcast", [this, bc, members = view_.members] {
-              KaActions out;
-              ctx_->process_broadcast(bc, members);
-              keyed_current_ = true;
-              out.key_ready = true;
-              return out;
-            });
+        ctx_->process_broadcast(bc, view_.members);
+        keyed_current_ = true;
+        actions.key_ready = true;
+        break;
       }
       case KaMsgType::kClqMergeChain: {
         const auto chain = util::decode<ClqMergeChainMsg>(msg.payload);
         if (chain.pending.empty() || chain.pending.front() != env_.self) break;
-        return KaActions::deferred(
-            "clq.merge_chain", [this, chain, members = view_.members] {
-              KaActions out;
-              auto [next, partial] = ctx_->merge_chain(chain, members);
-              if (next) {
-                out.unicasts.push_back({next->pending.front(),
-                                        static_cast<std::int16_t>(KaMsgType::kClqMergeChain),
-                                        next->encode()});
-              }
-              if (partial) {
-                out.multicasts.push_back(
-                    {static_cast<std::int16_t>(KaMsgType::kClqMergePartial),
-                     partial->encode()});
-              }
-              return out;
-            });
+        auto [next, partial] = ctx_->merge_chain(chain, view_.members);
+        if (next) {
+          actions.unicasts.push_back({next->pending.front(),
+                                      static_cast<std::int16_t>(KaMsgType::kClqMergeChain),
+                                      next->encode()});
+        }
+        if (partial) {
+          actions.multicasts.push_back(
+              {static_cast<std::int16_t>(KaMsgType::kClqMergePartial), partial->encode()});
+        }
+        break;
       }
       case KaMsgType::kClqMergePartial: {
         const auto partial = util::decode<ClqMergePartialMsg>(msg.payload);
         if (partial.new_controller == env_.self) break;  // own echo
-        return KaActions::deferred(
-            "clq.factor_out", [this, partial, members = view_.members] {
-              KaActions out;
-              const ClqFactorOutMsg fo = ctx_->merge_factor_out(partial, members);
-              out.unicasts.push_back({partial.new_controller,
-                                      static_cast<std::int16_t>(KaMsgType::kClqFactorOut),
-                                      fo.encode()});
-              return out;
-            });
+        const ClqFactorOutMsg fo = ctx_->merge_factor_out(partial, view_.members);
+        actions.unicasts.push_back({partial.new_controller,
+                                    static_cast<std::int16_t>(KaMsgType::kClqFactorOut),
+                                    fo.encode()});
+        break;
       }
       case KaMsgType::kClqFactorOut: {
         const auto fo = util::decode<ClqFactorOutMsg>(msg.payload);
-        return KaActions::deferred("clq.merge_collect", [this, fo] {
-          KaActions out;
-          auto bc = ctx_->merge_collect(fo);
-          if (bc) {
-            out.multicasts.push_back(
-                {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc->encode()});
-            keyed_current_ = true;
-            out.key_ready = true;
-          }
-          return out;
-        });
+        auto bc = ctx_->merge_collect(fo);
+        if (bc) {
+          actions.multicasts.push_back(
+              {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc->encode()});
+          keyed_current_ = true;
+          actions.key_ready = true;
+        }
+        break;
       }
       case KaMsgType::kRefreshRequest:
         // Only the controller acts on refresh requests.
@@ -301,6 +243,7 @@ KaActions CliquesKaModule::on_message(const gcs::Message& msg) {
     }
   } catch (const std::exception& e) {
     SS_LOG_WARN("clq-ka", env_.self.to_string(), " dropped protocol message: ", e.what());
+    return none();
   }
   return actions;
 }
@@ -310,20 +253,17 @@ KaActions CliquesKaModule::request_refresh() {
   if (!have_view_) return actions;
   const std::vector<MemberId> keyed = keyed_in(view_);
   if (keyed_current_ && !keyed.empty() && keyed.back() == env_.self) {
-    return KaActions::deferred("clq.refresh", [this, members = view_.members] {
-      KaActions out;
-      try {
-        const ClqBroadcastMsg bc = ctx_->refresh();
-        out.multicasts.push_back(
-            {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
-        out.key_ready = true;
-      } catch (const std::logic_error&) {
-        const ClqMergePartialMsg partial = ctx_->recovery_begin(members);
-        out.multicasts.push_back(
-            {static_cast<std::int16_t>(KaMsgType::kClqMergePartial), partial.encode()});
-      }
-      return out;
-    });
+    try {
+      const ClqBroadcastMsg bc = ctx_->refresh();
+      actions.multicasts.push_back(
+          {static_cast<std::int16_t>(KaMsgType::kClqBroadcast), bc.encode()});
+      actions.key_ready = true;
+    } catch (const std::logic_error&) {
+      const ClqMergePartialMsg partial = ctx_->recovery_begin(view_.members);
+      actions.multicasts.push_back(
+          {static_cast<std::int16_t>(KaMsgType::kClqMergePartial), partial.encode()});
+    }
+    return actions;
   }
   // Not the controller: ask it to refresh.
   actions.multicasts.push_back({static_cast<std::int16_t>(KaMsgType::kRefreshRequest), {}});

@@ -18,7 +18,6 @@
 #include "cliques/key_directory.h"
 #include "crypto/dh.h"
 #include "gcs/types.h"
-#include "runtime/clock.h"
 #include "util/bytes.h"
 
 namespace ss::secure {
@@ -88,23 +87,21 @@ struct KaMembershipEvent {
   std::size_t coalesced = 1;
 };
 
-/// What a module wants done after handling an event.
-///
-/// Handlers are split into a cheap protocol step and deferred compute: the
-/// handler itself only decodes, filters and decides roles, and packages the
-/// modular-exponentiation work as `pending_compute`. The host runs that
-/// step off the protocol thread (runtime::Compute) — or inline when no
-/// pool is configured, which reproduces the serial flow exactly — and then
-/// merges the step's returned actions. Contract for the step closure:
-///   - it may mutate the module (the host serializes per group: no other
-///     handler runs for this group until the step's actions are applied);
-///   - shared cross-group state it touches (KaModuleEnv::rnd, ::directory)
-///     is internally synchronized; the DH group is immutable;
-///   - it runs exactly once even if the result is later discarded (a view
-///     change raced it) — equivalent to serial delivery just before the
-///     view change, so module state stays consistent;
-///   - a thrown exception is caught by the host and treated as an empty
-///     result (the next membership event restarts agreement).
+/// What a module wants done after one call (on_membership, on_message or
+/// request_refresh). A call is a plain handler: it decodes, picks roles,
+/// does its modular exponentiations and returns its actions. The host's
+/// contract for a call:
+///   - it may run on any thread the host picks (a compute-pool worker or
+///     the member's event lane);
+///   - the host never runs two calls of one module at once, and reads the
+///     module (has_key, session_key, member_secret, ...) only between calls;
+///   - it runs to completion even when the host then discards its actions
+///     (a newer view superseded it) — equivalent to serial delivery just
+///     before that view, so module state stays consistent;
+///   - a thrown exception becomes an empty result (the next membership
+///     event restarts agreement).
+/// Shared state a call reaches beyond its module (KaModuleEnv::directory)
+/// is internally synchronized; the DH group is immutable.
 struct KaActions {
   struct Unicast {
     gcs::MemberId to;
@@ -115,25 +112,10 @@ struct KaActions {
     std::int16_t msg_type;
     util::Bytes payload;
   };
-  struct Deferred {
-    /// Trace label for the compute span (e.g. "clq.process_broadcast").
-    std::string label;
-    /// The heavy step. May itself return actions with pending_compute
-    /// (the host chains them).
-    std::function<KaActions()> step;
-  };
   std::vector<Unicast> unicasts;
   std::vector<Multicast> multicasts;
   /// A new group key is available via session_key().
   bool key_ready = false;
-  std::optional<Deferred> pending_compute;
-
-  /// Actions consisting solely of a deferred heavy step.
-  static KaActions deferred(std::string label, std::function<KaActions()> step) {
-    KaActions a;
-    a.pending_compute = Deferred{std::move(label), std::move(step)};
-    return a;
-  }
 
   void merge(KaActions&& other);
 };
@@ -176,19 +158,10 @@ class KeyAgreementModule {
 struct KaModuleEnv {
   const crypto::DhGroup* dh = nullptr;
   cliques::KeyDirectory* directory = nullptr;
-  crypto::RandomSource* rnd = nullptr;
-  /// Optional ownership of the source behind `rnd`. A host that runs
-  /// deferred module steps on compute workers MUST set this to a source
-  /// used by nothing else: a step can still be executing while the host
-  /// (and any RNG it owns) is being destroyed on its event lane, so the
-  /// module — kept alive by the in-flight job — has to keep its entropy
-  /// source alive and private too. Inline harnesses may leave it null and
-  /// lend `rnd`.
-  std::shared_ptr<crypto::RandomSource> rnd_owner;
-  /// Host clock (may be null in unit harnesses). Modules that timestamp or
-  /// pace protocol rounds read it; the built-in modules run round-for-round
-  /// off membership events and never block on it.
-  const runtime::Clock* clock = nullptr;
+  /// The module's own entropy source, used by nothing else: a call can
+  /// still be running on a compute worker while the host is destroyed on
+  /// its event lane, so the module keeps its source alive and private.
+  std::shared_ptr<crypto::RandomSource> rnd;
   gcs::MemberId self;
 };
 

@@ -48,18 +48,11 @@ bool TgdhKaModule::i_am_root_sponsor() const {
 }
 
 KaActions TgdhKaModule::on_membership(const KaMembershipEvent& event) {
-  view_ = event.view;
-  have_view_ = true;
-  keyed_current_ = false;
-  // Role selection and the tree mutation plus climb exponentiations all run
-  // as one deferred step (the host may put it on a pool worker).
-  return KaActions::deferred("tgdh.membership",
-                             [this, event] { return apply_membership(event); });
-}
-
-KaActions TgdhKaModule::apply_membership(const KaMembershipEvent& event) {
   KaActions out;
   const gcs::GroupView& view = event.view;
+  view_ = view;
+  have_view_ = true;
+  keyed_current_ = false;
   refresh_round_ = 0;
   const bool first_event = !saw_membership_;
   saw_membership_ = true;
@@ -131,17 +124,25 @@ KaActions TgdhKaModule::apply_membership(const KaMembershipEvent& event) {
     return out;
   }
 
-  // Survivor: evolve the tree deterministically — drop every leaf that
-  // left the view AND every leaf the batch re-admits (a member that left
-  // and rejoined within the window appears in both lists: it restarted
-  // with fresh state, and keeping its old blinded key would make
+  // Survivor: evolve the tree deterministically. The joiners are the
+  // event's joined members plus every view member the tree does not hold:
+  // the flush layer can collapse a cascade into one view whose joined list
+  // omits members that are new here (a alone, then b, d and e join and b
+  // leaves: everyone installs {a, d, e} with joined = []). Drop every leaf
+  // that left the view AND every leaf the batch re-admits (a member that
+  // left and rejoined within the window appears in both lists: it
+  // restarted with fresh state, and keeping its old blinded key would make
   // set_blinded refuse its fresh leaf-key broadcast). Then insert every
-  // new member (view order). Each member applies the same mutation to the
+  // joiner (view order). Each survivor applies the same mutation to the
   // same tree, so shapes stay identical with no negotiation.
+  std::vector<MemberId> joiners = event.joined;
+  for (const auto& m : view.members) {
+    if (!tree_.contains(lid(m)) && !contains_member(joiners, m)) joiners.push_back(m);
+  }
   std::vector<crypto::KeyTree::LeafId> stale;
   for (const auto& [id, leaf] : tree_.leaf_layout()) {
     const MemberId m = mid_of(leaf);
-    if (!view.contains(m) || contains_member(event.joined, m)) stale.push_back(leaf);
+    if (!view.contains(m) || contains_member(joiners, m)) stale.push_back(leaf);
   }
   for (const auto leaf : stale) tree_.remove_leaf(leaf);
   for (const auto& m : view.members) {
@@ -151,7 +152,7 @@ KaActions TgdhKaModule::apply_membership(const KaMembershipEvent& event) {
   // The batch sponsor (rightmost surviving leaf) refreshes its leaf secret:
   // guarantees the root key changes every batch and locks leavers out even
   // when the collapse alone would not.
-  const std::optional<MemberId> sponsor = batch_sponsor(event.joined);
+  const std::optional<MemberId> sponsor = batch_sponsor(joiners);
   if (sponsor.has_value()) {
     if (*sponsor == env_.self) {
       my_secret_ = env_.dh->random_share(*env_.rnd);
@@ -168,7 +169,7 @@ KaActions TgdhKaModule::apply_membership(const KaMembershipEvent& event) {
   bool joiner_sibling = false;
   if (tree_.contains(lid(env_.self))) {
     const KeyTreeNodeId mine = tree_.leaf_node(lid(env_.self));
-    for (const auto& m : event.joined) {
+    for (const auto& m : joiners) {
       if (!tree_.contains(lid(m))) continue;
       const KeyTreeNodeId theirs = tree_.leaf_node(lid(m));
       if (theirs.depth == mine.depth && theirs.depth > 0 &&
@@ -232,31 +233,26 @@ KaActions TgdhKaModule::on_message(const gcs::Message& msg) {
         const auto leaf = util::decode<TgdhLeafKeyMsg>(msg.payload);
         if (leaf.member == env_.self) break;  // own echo
         if (!view_.contains(leaf.member)) break;
-        return KaActions::deferred("tgdh.leaf_key", [this, leaf] {
-          KaActions out;
-          {
-            // Subgroup validation is input hardening on public values, not
-            // protocol work: keep it out of the per-operation exp counts.
-            crypto::detail::ExpTallySuspender suspend;
-            if (!env_.dh->is_valid_element(leaf.bk)) return out;
-          }
-          if (!have_shape_) {
-            pending_leaf_bks_[leaf.member] = leaf.bk;
-            return out;
-          }
-          if (!tree_.contains(lid(leaf.member))) return out;
-          if (!tree_.set_blinded(tree_.leaf_node(lid(leaf.member)), leaf.bk)) return out;
-          climb_and_broadcast(out, false);
-          return out;
-        });
+        {
+          // Subgroup validation is input hardening on public values, not
+          // protocol work: keep it out of the per-operation exp counts.
+          crypto::detail::ExpTallySuspender suspend;
+          if (!env_.dh->is_valid_element(leaf.bk)) break;
+        }
+        if (!have_shape_) {
+          pending_leaf_bks_[leaf.member] = leaf.bk;
+          break;
+        }
+        if (!tree_.contains(lid(leaf.member))) break;
+        if (!tree_.set_blinded(tree_.leaf_node(lid(leaf.member)), leaf.bk)) break;
+        climb_and_broadcast(actions, false);
+        break;
       }
       case KaMsgType::kTgdhUpdate: {
-        auto update = util::decode<TgdhUpdateMsg>(msg.payload);
+        const auto update = util::decode<TgdhUpdateMsg>(msg.payload);
         if (update.sender == env_.self) break;  // own echo
         if (!view_.contains(update.sender)) break;
-        return KaActions::deferred("tgdh.update", [this, update = std::move(update)] {
-          return merge_update(update);
-        });
+        return merge_update(update);
       }
       case KaMsgType::kRefreshRequest:
         if (i_am_root_sponsor() && keyed_current_) return request_refresh();
@@ -266,6 +262,7 @@ KaActions TgdhKaModule::on_message(const gcs::Message& msg) {
     }
   } catch (const std::exception& e) {
     SS_LOG_WARN("tgdh-ka", env_.self.to_string(), " dropped protocol message: ", e.what());
+    return none();
   }
   return actions;
 }
@@ -347,14 +344,11 @@ KaActions TgdhKaModule::request_refresh() {
   if (!have_view_ || !have_shape_) return actions;
   if (i_am_root_sponsor()) {
     if (!keyed_current_) return actions;  // agreement in progress anyway
-    return KaActions::deferred("tgdh.refresh", [this] {
-      KaActions out;
-      ++refresh_round_;
-      my_secret_ = env_.dh->random_share(*env_.rnd);
-      tree_.set_leaf_secret(lid(env_.self), *env_.dh, *my_secret_);
-      climb_and_broadcast(out, true);
-      return out;
-    });
+    ++refresh_round_;
+    my_secret_ = env_.dh->random_share(*env_.rnd);
+    tree_.set_leaf_secret(lid(env_.self), *env_.dh, *my_secret_);
+    climb_and_broadcast(actions, true);
+    return actions;
   }
   // Not the root sponsor: ask it to refresh.
   actions.multicasts.push_back({static_cast<std::int16_t>(KaMsgType::kRefreshRequest), {}});

@@ -79,10 +79,8 @@ class TgdhKaModule final : public KeyAgreementModule {
                          static_cast<std::uint32_t>(id & 0xffffffffu)};
   }
 
-  /// The heavy half of a membership event (runs inside a deferred step).
-  KaActions apply_membership(const KaMembershipEvent& event);
-  /// Deferred half of a kTgdhUpdate: adopt/verify the shape, merge blinded
-  /// keys (round-aware), then climb.
+  /// A kTgdhUpdate: adopt/verify the shape, merge blinded keys
+  /// (round-aware), then climb.
   KaActions merge_update(const TgdhUpdateMsg& update);
   /// Climbs from our leaf; on new sponsored nodes (or `must_send`) appends
   /// a snapshot broadcast; flags key_ready when a new root secret appears.

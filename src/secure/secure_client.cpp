@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/compute_job.h"
 #include "crypto/hmac.h"
 #include "crypto/schnorr.h"
 #include "gcs/trace.h"
@@ -55,10 +56,10 @@ SecureGroupClient::SecureGroupClient(gcs::Daemon& daemon, cliques::KeyDirectory&
 
 SecureGroupClient::~SecureGroupClient() {
   for (auto& [group, st] : groups_) cancel_timers(st);
-  // After this, a completion timer from a still-running deferred step finds
+  // After this, a completion timer from a still-running module call finds
   // the token expired and returns without touching the freed client. The
-  // step itself only reaches module-owned state (the job's shared_ptr keeps
-  // the module, and KaModuleEnv::rnd_owner its private DRBG, alive).
+  // call itself only reaches module-owned state (the work closure's
+  // shared_ptr keeps the module, and the module its private DRBG, alive).
   alive_.reset();
 }
 
@@ -76,17 +77,14 @@ void SecureGroupClient::join(const gcs::GroupName& group, SecureGroupConfig conf
   KaModuleEnv env;
   env.dh = config.dh;
   env.directory = &directory_;
-  // Fork a private DRBG for the module: its deferred steps run on compute
-  // workers while `rnd_` stays lane-owned (cipher IVs, signatures) — and at
-  // teardown a step may outlive this client entirely. The fork point is a
+  // Fork a private DRBG for the module: its calls run on compute workers
+  // while `rnd_` stays lane-owned (cipher IVs, signatures) — and at
+  // teardown a call may outlive this client entirely. The fork point is a
   // deterministic position in the client stream and the group name
   // domain-separates, so seeded runs stay replayable.
   util::Bytes fork_seed = rnd_.generate(16);
   fork_seed.insert(fork_seed.end(), group.begin(), group.end());
-  auto ka_rng = std::make_shared<crypto::HmacDrbg>(fork_seed);
-  env.rnd = ka_rng.get();
-  env.rnd_owner = std::move(ka_rng);
-  env.clock = &clock_;
+  env.rnd = std::make_shared<crypto::HmacDrbg>(fork_seed);
   env.self = fm_.id();
   std::unique_ptr<KeyAgreementModule> ka = KaRegistry::instance().create(config.ka_module, env);
   std::unique_ptr<CipherSuite> cipher = CipherRegistry::instance().create(config.cipher);
@@ -188,9 +186,8 @@ void SecureGroupClient::refresh_key(const gcs::GroupName& group) {
       st.exp_acc = crypto::ExpTally{};
       begin_rekey_span(group, st);
     }
-    dispatch(group, st,
-             run_module(st, group, "ka.refresh_request",
-                        [&] { return st.ka->request_refresh(); }));
+    invoke(group, st, "ka.refresh_request",
+           [](KeyAgreementModule& ka) { return ka.request_refresh(); });
   });
 }
 
@@ -206,9 +203,9 @@ std::uint64_t SecureGroupClient::key_epoch(const gcs::GroupName& group) const {
 
 util::Bytes SecureGroupClient::key_material(const gcs::GroupName& group, std::size_t len) const {
   auto it = groups_.find(group);
-  // A module with deferred compute in flight is being mutated off-lane:
-  // its key is "in transition" and not readable until the step completes
-  // (never observable with inline compute — the sim/serial path).
+  // A module with a call in flight is being mutated off-lane: its key is
+  // "in transition" and not readable until the call completes (never
+  // observable with inline compute — the sim/serial path).
   if (it == groups_.end() || !it->second.key_ready ||
       it->second.inflight_generation != 0) {
     throw std::logic_error("SecureGroupClient: no key for " + group);
@@ -226,42 +223,6 @@ const std::optional<RekeyStats>& SecureGroupClient::last_rekey(
   static const std::optional<RekeyStats> kNone;
   auto it = groups_.find(group);
   return it != groups_.end() ? it->second.last_rekey : kNone;
-}
-
-KaActions SecureGroupClient::run_module(GroupState& st, const gcs::GroupName& group,
-                                        const char* phase,
-                                        const std::function<KaActions()>& call) {
-  const crypto::ExpTally before = crypto::exp_tally();
-  obs::SpanHandle span;
-  span.begin("secure.ka", phase, fm_.id().daemon, rekey_lane(group));
-  KaActions actions;
-  runtime::Time cpu_us = 0;
-  {
-    runtime::ComputeTimer timer(clock_, charge_crypto_time_);
-    try {
-      actions = call();
-    } catch (const std::exception& e) {
-      // A failed protocol step (e.g. a member without credentials) must not
-      // take the client down; the next membership event restarts agreement.
-      SS_LOG_WARN("secure", "key agreement step failed: ", e.what());
-      actions = KaActions{};
-    }
-    cpu_us = timer.elapsed_us();
-    st.cpu_acc += static_cast<double>(cpu_us) * 1e-6;
-  }
-  const crypto::ExpTally delta = crypto::exp_tally() - before;
-  st.exp_acc += delta;
-  if (span.open()) {
-    obs::TraceArgs args{{"cpu_us", cpu_us}, {"mod_exps", delta.total()}};
-    for (std::size_t i = 0; i < crypto::kExpPurposeCount; ++i) {
-      const auto p = static_cast<crypto::ExpPurpose>(i);
-      const std::uint64_t n = delta.count(p);
-      if (n != 0) args.emplace_back(crypto::exp_purpose_name(p), n);
-    }
-    span.end(std::move(args));
-  }
-  st.counters.mod_exps.inc(delta.total());
-  return actions;
 }
 
 void SecureGroupClient::begin_rekey_span(const gcs::GroupName& group, GroupState& st) {
@@ -298,7 +259,7 @@ void SecureGroupClient::handle_view(const gcs::GroupView& view) {
 
   // A view change (re)starts the agreement — this is the cascading-events
   // rule: whatever was in flight is abandoned for the newest membership.
-  // Bumping the generation supersedes any deferred step on the pool (its
+  // Bumping the generation supersedes any module call on the pool (its
   // completion will be dropped) and queued invocations are stale too.
   st.ka_generation = next_generation_++;
   st.pending_invocations.clear();
@@ -312,9 +273,9 @@ void SecureGroupClient::handle_view(const gcs::GroupView& view) {
 
   // Batched rekeying: fold the view into the pending membership batch. The
   // batch is handed to the module as ONE event when (a) the batch window
-  // (if configured) elapses and (b) no superseded deferred step is still
-  // mutating the module off-lane. With window 0 and no compute in flight
-  // this flushes immediately — the classic per-view flow.
+  // (if configured) elapses and (b) no superseded call is still mutating
+  // the module off-lane. With window 0 and no call in flight this flushes
+  // immediately — the classic per-view flow.
   fold_into_batch(st, view);
   // The window amortizes rekeys of an ESTABLISHED membership. A module that
   // was never handed an event has no key to re-agree — delaying its
@@ -333,7 +294,7 @@ void SecureGroupClient::handle_view(const gcs::GroupView& view) {
             // Traffic that arrived for the batched membership while the
             // window was open is buffered; the module can process it now
             // that it has the batch (or it queues behind an in-flight
-            // compute, which preserves the same order).
+            // call, which preserves the same order).
             replay_early_unicasts(group);
           });
     }
@@ -349,8 +310,7 @@ void SecureGroupClient::replay_early_unicasts(const gcs::GroupName& group) {
   if (it == groups_.end() || it->second.ka_early.empty()) return;
   // Re-run buffered unicasts through the normal path: one matching the view
   // just installed is processed, one still ahead re-buffers, stale ones
-  // drop. Processing may itself change views (inline compute), so re-find
-  // the group each round.
+  // drop.
   std::deque<gcs::Message> early = std::move(it->second.ka_early);
   it->second.ka_early.clear();
   for (auto& msg : early) handle_message(msg);
@@ -442,7 +402,7 @@ void SecureGroupClient::flush_batch(const gcs::GroupName& group) {
   GroupState& st = it->second;
   if (!st.pending_batch) return;
   if (st.batch_timer_armed) return;     // window still open: keep folding
-  if (st.inflight_generation != 0) return;  // finish_compute flushes
+  if (st.inflight_generation != 0) return;  // the call's completion flushes
   KaMembershipEvent ev = std::move(*st.pending_batch);
   st.pending_batch.reset();
   st.batch_departed.clear();
@@ -451,9 +411,8 @@ void SecureGroupClient::flush_batch(const gcs::GroupName& group) {
   SS_LOG_DEBUG("secure", fm_.id().to_string(), " rekey round in ", group, ": members=",
                ev.view.members.size(), " joined=", ev.joined.size(), " left=",
                ev.left.size(), " coalesced=", ev.coalesced);
-  dispatch(group, st,
-           run_module(st, group, "ka.on_membership",
-                      [&] { return st.ka->on_membership(ev); }));
+  invoke(group, st, "ka.on_membership",
+         [ev = std::move(ev)](KeyAgreementModule& ka) { return ka.on_membership(ev); });
 }
 
 void SecureGroupClient::handle_message(const gcs::Message& msg) {
@@ -502,7 +461,7 @@ void SecureGroupClient::handle_message(const gcs::Message& msg) {
     // buffer the message and replay it after the flush — collapsing the
     // window on first traffic would defeat coalescing entirely (proactive
     // protocols like TGDH multicast within milliseconds of a view). With
-    // the window closed (flush only blocked by in-flight compute), hand
+    // the window closed (flush only blocked by a call in flight), hand
     // the batch over now so the module never sees traffic for a
     // membership it was not told about.
     if (st.pending_batch) {
@@ -512,22 +471,20 @@ void SecureGroupClient::handle_message(const gcs::Message& msg) {
       }
       flush_batch(msg.group);
     }
-    // Valid for the current view; if it has to queue behind in-flight
-    // compute, a view change clears the queue (making it stale is the only
+    // Valid for the current view; if it has to queue behind a call in
+    // flight, a view change clears the queue (making it stale is the only
     // way the view can move on).
     run_or_queue(st, [this, group = msg.group, inner = std::move(inner)] {
       auto it2 = groups_.find(group);
       if (it2 == groups_.end()) return;
-      GroupState& s = it2->second;
-      dispatch(group, s,
-               run_module(s, group, ka_phase_name(inner.msg_type),
-                          [&] { return s.ka->on_message(inner); }));
+      invoke(group, it2->second, ka_phase_name(inner.msg_type),
+             [inner](KeyAgreementModule& ka) { return ka.on_message(inner); });
     });
   }
 }
 
 void SecureGroupClient::dispatch(const gcs::GroupName& group, GroupState& st,
-                                 KaActions actions) {
+                                 const KaActions& actions) {
   for (const auto& u : actions.unicasts) {
     SS_LOG_DEBUG("secure", fm_.id().to_string(), " KA unicast ", ka_phase_name(u.msg_type),
                  " -> ", u.to.to_string(), " in ", group);
@@ -543,7 +500,6 @@ void SecureGroupClient::dispatch(const gcs::GroupName& group, GroupState& st,
     }
   }
   if (actions.key_ready) apply_new_key(group, st);
-  if (actions.pending_compute) start_compute(group, st, std::move(*actions.pending_compute));
 }
 
 void SecureGroupClient::run_or_queue(GroupState& st, std::function<void()> fn) {
@@ -565,91 +521,77 @@ void SecureGroupClient::drain_queue(const gcs::GroupName& group) {
   }
 }
 
-void SecureGroupClient::start_compute(const gcs::GroupName& group, GroupState& st,
-                                      KaActions::Deferred d) {
-  st.inflight_generation = st.ka_generation;
+void SecureGroupClient::invoke(const gcs::GroupName& group, GroupState& st, const char* phase,
+                               std::function<KaActions(KeyAgreementModule&)> call) {
   const std::uint64_t gen = st.ka_generation;
-
-  // Shared between the work and done closures. Holding the module keeps it
-  // alive if the group is erased (self-leave) while the step runs.
-  struct Pending {
-    std::shared_ptr<KeyAgreementModule> ka;
-    std::string label;
-    std::function<KaActions()> step;
-    KaActions result;
+  st.inflight_generation = gen;
+  // Written by the work, read by its completion.
+  struct Result {
+    KaActions actions;
     crypto::ComputeStats stats;
   };
-  auto p = std::make_shared<Pending>();
-  p->ka = st.ka;
-  p->label = std::move(d.label);
-  p->step = std::move(d.step);
-
-  const std::uint32_t daemon_id = fm_.id().daemon;
+  auto result = std::make_shared<Result>();
+  const std::uint32_t daemon = fm_.id().daemon;
   const std::uint64_t home_lane = rekey_lane(group);
-  auto work = [p, daemon_id, home_lane] {
-    // Attribute the span to the pool worker's trace lane so parallel steps
-    // render side by side; inline execution stays on the rekey lane.
+  // Holding the module keeps it alive if the group is erased (self-leave)
+  // while the call runs.
+  auto work = [result, ka = st.ka, call = std::move(call), phase, daemon, home_lane] {
+    // A pool worker traces on its own lane so parallel calls render side by
+    // side; an inline call nests in the rekey span.
     const int w = runtime::current_compute_worker();
     const std::uint64_t lane =
         w >= 0 ? obs::trace_lane(9, static_cast<std::uint64_t>(w), "pool") : home_lane;
     obs::SpanHandle span;
-    span.begin("secure.ka", "ka.compute", daemon_id, lane, {{"job", p->label}});
-    crypto::ComputeJob job(p->label, [&p] { p->result = p->step(); });
-    p->stats = job.execute();
+    span.begin("secure.ka", phase, daemon, lane);
+    result->stats = crypto::ComputeJob(phase, [&] { result->actions = call(*ka); }).execute();
     if (span.open()) {
-      obs::TraceArgs args{{"cpu_us", p->stats.cpu_us},
-                          {"mod_exps", p->stats.exps.total()}};
+      const crypto::ExpTally& exps = result->stats.exps;
+      obs::TraceArgs args{{"cpu_us", result->stats.cpu_us}, {"mod_exps", exps.total()}};
+      for (std::size_t i = 0; i < crypto::kExpPurposeCount; ++i) {
+        const auto p = static_cast<crypto::ExpPurpose>(i);
+        if (exps.count(p) != 0) args.emplace_back(crypto::exp_purpose_name(p), exps.count(p));
+      }
       if (w >= 0) args.emplace_back("pool_worker", static_cast<std::uint64_t>(w));
       span.end(std::move(args));
     }
   };
-  auto done = [this, alive = std::weak_ptr<bool>(alive_), group, gen, p] {
-    if (alive.expired()) return;  // client destroyed while the step ran
-    finish_compute(group, gen, std::move(p->result), std::move(p->stats));
-  };
-  if (compute_ != nullptr) {
-    compute_->offload(std::move(work), std::move(done));
-  } else {
-    // No compute seam (hand-built Envs): serial semantics.
-    work();
-    done();
-  }
-}
-
-void SecureGroupClient::finish_compute(const gcs::GroupName& group, std::uint64_t gen,
-                                       KaActions result, crypto::ComputeStats stats) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return;  // left the group while the step ran
-  GroupState& st = it->second;
-  if (st.inflight_generation == gen) st.inflight_generation = 0;
-  if (st.ka_generation != gen) {
-    SS_LOG_DEBUG("secure", fm_.id().to_string(), " dropped superseded compute result in ",
-                 group);
-    // Superseded by a newer view. The module already absorbed the step —
-    // equivalent to serial delivery just before the view change — but its
-    // outputs belong to the old view and are dropped like any stale
-    // traffic. The views that arrived while the step ran folded into one
-    // membership batch: hand it over now (one event for the whole
-    // cascade), then let queued invocations for the new view run.
+  auto done = [this, alive = std::weak_ptr<bool>(alive_), group, gen, result] {
+    if (alive.expired()) return;  // client destroyed while the call ran
+    auto it = groups_.find(group);
+    if (it == groups_.end()) return;  // left the group while the call ran
+    GroupState& s = it->second;
+    if (s.inflight_generation == gen) s.inflight_generation = 0;
+    if (s.ka_generation != gen) {
+      SS_LOG_DEBUG("secure", fm_.id().to_string(), " dropped superseded module call result in ",
+                   group);
+      // Superseded by a newer view. The module already absorbed the call —
+      // equivalent to serial delivery just before the view change — but
+      // its outputs belong to the old view and are dropped like any stale
+      // traffic. The views that arrived while the call ran folded into one
+      // membership batch: hand it over now (one event for the whole
+      // cascade), then let queued invocations for the new view run.
+      flush_batch(group);
+      drain_queue(group);
+      return;
+    }
+    const crypto::ComputeStats& stats = result->stats;
+    if (charge_crypto_time_ && stats.cpu_us != 0) {
+      clock_.charge_time(static_cast<runtime::Time>(stats.cpu_us));
+    }
+    s.cpu_acc += static_cast<double>(stats.cpu_us) * 1e-6;
+    s.exp_acc += stats.exps;
+    s.counters.mod_exps.inc(stats.exps.total());
+    if (stats.failed) {
+      // A failed protocol step (e.g. a member without credentials) must not
+      // take the client down; the next membership event restarts agreement.
+      SS_LOG_WARN("secure", "key agreement step failed in ", group, ": ", stats.error);
+    } else {
+      dispatch(group, s, result->actions);
+    }
     flush_batch(group);
     drain_queue(group);
-    return;
-  }
-  // Book the off-lane work against this member exactly as run_module books
-  // the on-lane step: virtual-time charge, rekey accumulators, counters.
-  if (charge_crypto_time_ && stats.cpu_us != 0) {
-    clock_.charge_time(static_cast<runtime::Time>(stats.cpu_us));
-  }
-  st.cpu_acc += static_cast<double>(stats.cpu_us) * 1e-6;
-  st.exp_acc += stats.exps;
-  st.counters.mod_exps.inc(stats.exps.total());
-  if (stats.failed) {
-    SS_LOG_WARN("secure", "deferred key agreement step failed in ", group, ": ", stats.error);
-    result = KaActions{};
-  }
-  dispatch(group, st, std::move(result));
-  flush_batch(group);
-  drain_queue(group);
+  };
+  compute_.offload(std::move(work), std::move(done));
 }
 
 util::Bytes SecureGroupClient::make_aad(const gcs::GroupName& group, const util::Bytes& key_id) {

@@ -28,7 +28,6 @@
 #include <string>
 
 #include "cliques/key_directory.h"
-#include "crypto/compute_job.h"
 #include "crypto/drbg.h"
 #include "crypto/exp_counter.h"
 #include "flush/flush.h"
@@ -37,7 +36,6 @@
 #include "secure/cipher.h"
 #include "secure/ka_module.h"
 #include "runtime/compute.h"
-#include "runtime/compute_timer.h"
 
 namespace ss::secure {
 
@@ -112,8 +110,8 @@ struct SecureGroupConfig {
   /// are coalesced into one membership event, so a join+leave storm costs
   /// one rekey round instead of one per view. 0 hands every view to the
   /// module as a singleton batch, transcript-identical to the classic
-  /// per-event flow (views still coalesce while a superseded deferred
-  /// compute step is in flight — those were stale restarts anyway).
+  /// per-event flow (views still coalesce while a superseded module call
+  /// is in flight — those were stale restarts anyway).
   runtime::Time rekey_batch_window = 0;
 };
 
@@ -173,8 +171,8 @@ class SecureGroupClient {
                     bool charge_crypto_time = false);
   /// Must run on the client's event lane (like every other entry point):
   /// cancels armed timers and expires the death token so lane-posted
-  /// continuations from in-flight compute jobs no-op instead of touching
-  /// freed state.
+  /// completions of in-flight module calls no-op instead of touching freed
+  /// state.
   ~SecureGroupClient();
 
   const gcs::MemberId& id() const { return fm_.id(); }
@@ -230,8 +228,8 @@ class SecureGroupClient {
         : config(cfg), counters(self.to_string(), cfg.ka_module) {}
 
     SecureGroupConfig config;
-    /// Shared: deferred-compute jobs capture the module so it outlives a
-    /// group erase that races an in-flight step.
+    /// Shared: an offloaded module call holds the module so it outlives a
+    /// group erase that races the call.
     std::shared_ptr<KeyAgreementModule> ka;
     std::unique_ptr<CipherSuite> cipher;
     util::Bytes key_id;  // current key identifier (8 bytes)
@@ -268,21 +266,20 @@ class SecureGroupClient {
     /// leave() was called: the next self-leave view ends this incarnation.
     bool leaving = false;
 
-    // Deferred-compute bookkeeping. Generations are client-wide monotonic,
-    // so a completion can never match a different incarnation of the group.
-    /// Bumped on every module (re)start — each view change supersedes any
-    /// compute in flight; its completion is dropped on mismatch.
+    // Module-call bookkeeping. Generations are client-wide monotonic, so a
+    // completion can never match a different incarnation of the group.
+    /// Bumped on every view change, which supersedes any call in flight;
+    /// its completion is dropped on mismatch.
     std::uint64_t ka_generation = 0;
-    /// Generation whose deferred step is currently on the pool (0 = none).
-    /// While nonzero the module is off limits: invocations queue below.
+    /// Generation of the module call in flight (0 = none). While nonzero
+    /// the module is off limits: invocations queue below.
     std::uint64_t inflight_generation = 0;
-    /// Module invocations queued behind the in-flight step (per-group
+    /// Module invocations queued behind the call in flight (per-group
     /// serialization; cleared on view change — stale anyway).
     std::deque<std::function<void()>> pending_invocations;
 
-    // Batched-rekey state (the tentpole contract): membership as last
-    // handed to the module, and the folded batch a window timer or an
-    // in-flight compute step is holding back.
+    // Batched-rekey state: membership as last handed to the module, and
+    // the folded batch a window timer or an in-flight call is holding back.
     /// Members the module was last handed (empty before the first event).
     std::vector<gcs::MemberId> handed_members;
     bool handed_any = false;
@@ -309,7 +306,7 @@ class SecureGroupClient {
   /// membership last handed to the module.
   void fold_into_batch(GroupState& st, const gcs::GroupView& view);
   /// Hands the pending batch to the module as one membership event, unless
-  /// compute is in flight (finish_compute flushes then) or the batch window
+  /// a call is in flight (its completion flushes then) or the batch window
   /// is still open.
   void flush_batch(const gcs::GroupName& group);
   /// Replays KA unicasts buffered ahead of their view (see ka_early).
@@ -317,27 +314,25 @@ class SecureGroupClient {
   /// Buffers a KA message for later replay (see ka_early), evicting the
   /// oldest — logged and counted in stats — when the buffer is full.
   void buffer_early_ka(GroupState& st, const gcs::Message& msg);
-  /// Runs a module call with CPU/exponentiation instrumentation. `phase`
-  /// names the trace span recorded for the call (e.g. "ka.clq_broadcast");
-  /// its end event carries the call's CPU time and per-purpose mod-exps.
-  KaActions run_module(GroupState& st, const gcs::GroupName& group, const char* phase,
-                       const std::function<KaActions()>& call);
+  /// Runs one module call through the env's Compute (on a pool worker
+  /// when the env has a pool, inline otherwise), inside one
+  /// crypto::ComputeJob and one secure.ka span named `phase` (e.g.
+  /// "ka.clq_broadcast") whose end carries the call's CPU time and
+  /// per-purpose mod-exps. The completion, on this client's lane, drops a
+  /// result a newer view superseded, books the call's CPU and
+  /// exponentiations, applies its actions, then flushes a pending batch
+  /// and drains invocations that queued behind the call. Callers check
+  /// that no call is in flight for the group (run_or_queue, flush_batch).
+  void invoke(const gcs::GroupName& group, GroupState& st, const char* phase,
+              std::function<KaActions(KeyAgreementModule&)> call);
   /// (Re)opens the rekey span for `group` (cascade restarts included).
   void begin_rekey_span(const gcs::GroupName& group, GroupState& st);
   /// Trace lane shared by this member's rekey + KA phase spans for `group`.
   std::uint64_t rekey_lane(const gcs::GroupName& group) const {
     return obs::trace_lane(2, fm_.id().client, group);
   }
-  void dispatch(const gcs::GroupName& group, GroupState& st, KaActions actions);
-  /// Ships a deferred step to the compute pool (inline without one) and
-  /// wires its completion back through finish_compute.
-  void start_compute(const gcs::GroupName& group, GroupState& st, KaActions::Deferred d);
-  /// Completion continuation (runs on this client's event lane): drops
-  /// stale results, books CPU/exponentiation stats, applies the actions,
-  /// then drains invocations that queued behind the step.
-  void finish_compute(const gcs::GroupName& group, std::uint64_t gen, KaActions result,
-                      crypto::ComputeStats stats);
-  /// Runs a module invocation now, or queues it while compute is in flight.
+  void dispatch(const gcs::GroupName& group, GroupState& st, const KaActions& actions);
+  /// Runs a module invocation now, or queues it while a call is in flight.
   void run_or_queue(GroupState& st, std::function<void()> fn);
   void drain_queue(const gcs::GroupName& group);
   void apply_new_key(const gcs::GroupName& group, GroupState& st);
@@ -351,12 +346,12 @@ class SecureGroupClient {
   cliques::KeyDirectory& directory_;
   crypto::HmacDrbg rnd_;
   runtime::Clock& clock_;
-  /// Crypto offload executor from the daemon's Env; null = run inline
-  /// (serial semantics — the simulator and unit harnesses take this path).
-  runtime::Compute* compute_;
+  /// Runs module calls: the daemon Env's Compute (inline unless the env
+  /// has a worker pool).
+  runtime::Compute& compute_;
   bool charge_crypto_time_;
   std::uint64_t next_generation_ = 1;
-  /// Death token: compute completions are posted back to this client's lane
+  /// Death token: call completions are posted back to this client's lane
   /// as timers and hold a weak_ptr to this. The destructor (which runs on
   /// the same lane, so expiry is observed race-free) resets it, turning any
   /// continuation that fires afterwards into a no-op.

@@ -60,7 +60,8 @@ class Scheduler : public runtime::Clock {
   std::size_t pending() const { return events_.size() - cancelled_; }
 
   /// Advances the clock without running events (used to charge measured
-  /// CPU time of cryptographic work into virtual time; see ComputeTimer).
+  /// CPU time of cryptographic work into virtual time; see
+  /// runtime::Clock::charge_time).
   void charge_time(Time d) override { now_ += d; }
 
  private:

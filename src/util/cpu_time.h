@@ -2,11 +2,10 @@
 //
 // The paper's measurements use two clocks: virtual (simulated) time for
 // protocol latency and real thread CPU time for cryptographic cost. Every
-// layer that times computation — runtime::ComputeTimer, crypto::ComputeJob,
-// the obs stopwatches, the bench drivers — reads this one function so they
-// all measure the same thing. It lives in util (the bottom layer) so both
-// the crypto and runtime layers can reach it without widening the layering
-// DAG.
+// layer that times computation — crypto::ComputeJob, the obs stopwatches,
+// the bench drivers — reads this one function so they all measure the same
+// thing. It lives in util (the bottom layer) so both the crypto and obs
+// layers can reach it without widening the layering DAG.
 #pragma once
 
 #include <ctime>

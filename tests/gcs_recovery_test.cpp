@@ -1,8 +1,8 @@
 // Deeper GCS scenario tests: message recovery across view changes, SAFE
-// stability under partition, causal chains, and the compute-timer clock.
+// stability under partition, causal chains, and charging compute time to
+// the sim clock.
 #include <gtest/gtest.h>
 
-#include "runtime/compute_timer.h"
 #include "tests/cluster_fixture.h"
 
 namespace ss::gcs {
@@ -12,29 +12,6 @@ using testing::Cluster;
 using testing::RecordingClient;
 using util::bytes_of;
 using util::string_of;
-
-TEST(ComputeTimer, ChargesCpuTimeToClock) {
-  sim::Scheduler sched;
-  const sim::Time before = sched.now();
-  {
-    runtime::ComputeTimer timer(sched, /*charge=*/true);
-    // Burn a little CPU.
-    volatile std::uint64_t x = 1;
-    for (int i = 0; i < 2000000; ++i) x = x * 6364136223846793005ULL + 1;
-  }
-  EXPECT_GT(sched.now(), before);
-}
-
-TEST(ComputeTimer, NoChargeWhenDisabled) {
-  sim::Scheduler sched;
-  {
-    runtime::ComputeTimer timer(sched, /*charge=*/false);
-    volatile std::uint64_t x = 1;
-    for (int i = 0; i < 1000000; ++i) x = x * 2862933555777941757ULL + 3037000493ULL;
-    EXPECT_GE(timer.elapsed_us(), 0u);
-  }
-  EXPECT_EQ(sched.now(), 0u);
-}
 
 TEST(SchedulerCharge, ChargeTimeAdvancesWithoutRunningEvents) {
   sim::Scheduler sched;

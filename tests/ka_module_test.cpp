@@ -4,147 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
-#include <memory>
 #include <set>
 
-#include "secure/ka_cliques.h"
-#include "secure/ka_ckd.h"
-
-#include "crypto/drbg.h"
+#include "bench/ka_bus.h"
+#include "secure/ka_module.h"
 
 namespace ss::secure {
 namespace {
 
 using crypto::DhGroup;
-using gcs::GroupView;
-using gcs::MemberId;
 using gcs::MembershipReason;
 
-MemberId mid(std::uint32_t i) { return MemberId{i, 1}; }
-
-/// An in-memory bus: N modules, immediate action execution, views fed by
-/// the test. Multicasts reach every member (including the sender, as VS
-/// self-delivery does); unicasts reach their target.
-struct Bus {
-  explicit Bus(const std::string& ka_name) : dh(DhGroup::tiny64()), dir(dh), name(ka_name) {}
-
-  void add_member(std::uint32_t i) {
-    crypto::HmacDrbg boot(1000 + i, "bus");
-    dir.ensure(mid(i), boot);
-    rnds.push_back(std::make_unique<crypto::HmacDrbg>(i, "bus-member"));
-    KaModuleEnv env;
-    env.dh = &dh;
-    env.directory = &dir;
-    env.rnd = rnds.back().get();
-    env.self = mid(i);
-    modules[mid(i)] = KaRegistry::instance().create(name, env);
-  }
-
-  void remove_member(std::uint32_t i) { modules.erase(mid(i)); }
-
-  GroupView make_view(const std::vector<std::uint32_t>& members, MembershipReason reason,
-                      const std::vector<std::uint32_t>& joined,
-                      const std::vector<std::uint32_t>& left) {
-    GroupView v;
-    v.group = "bus";
-    v.view_id = gcs::GroupViewId{gcs::ViewId{++round, 0}, 0};
-    for (auto m : members) v.members.push_back(mid(m));
-    v.reason = reason;
-    for (auto m : joined) v.joined.push_back(mid(m));
-    for (auto m : left) v.left.push_back(mid(m));
-    for (auto m : members) {
-      if (std::find(joined.begin(), joined.end(), m) == joined.end()) {
-        v.transitional.push_back(mid(m));
-      }
-    }
-    return v;
-  }
-
-  /// Delivers a view to every module and pumps resulting traffic to
-  /// quiescence. Returns how many members reported key_ready.
-  int deliver_view(const GroupView& v) {
-    current_view = v;
-    int ready = 0;
-    for (auto& [id, module] : modules) {
-      // Per-member perspective: joined/transitional relative to itself is
-      // approximated by the global view (sufficient for these scenarios).
-      // The bus hands singleton batches: joined/left are the view's own.
-      KaMembershipEvent ev{v, v.joined, v.left, 1};
-      ready += enqueue(module->on_membership(ev), id);
-    }
-    return ready + pump();
-  }
-
-  int enqueue(KaActions actions, const MemberId& from) {
-    // The bus is a serial host: run deferred compute steps inline and fold
-    // their actions in, exactly as a host with no worker pool does.
-    while (actions.pending_compute) {
-      KaActions::Deferred d = std::move(*actions.pending_compute);
-      actions.pending_compute.reset();
-      actions.merge(d.step());
-    }
-    int ready = actions.key_ready ? 1 : 0;
-    for (auto& u : actions.unicasts) {
-      gcs::Message m;
-      m.group = "bus";
-      m.sender = from;
-      m.msg_type = u.msg_type;
-      m.payload = u.payload;
-      m.view_id = current_view.view_id;
-      queue.emplace_back(u.to, m);
-    }
-    for (auto& mc : actions.multicasts) {
-      for (auto& [id, _] : modules) {
-        if (std::find(current_view.members.begin(), current_view.members.end(), id) ==
-            current_view.members.end()) {
-          continue;
-        }
-        gcs::Message m;
-        m.group = "bus";
-        m.sender = from;
-        m.msg_type = mc.msg_type;
-        m.payload = mc.payload;
-        m.view_id = current_view.view_id;
-        queue.emplace_back(id, m);
-      }
-    }
-    return ready;
-  }
-
-  int pump() {
-    int ready = 0;
-    while (!queue.empty()) {
-      auto [to, msg] = queue.front();
-      queue.pop_front();
-      auto it = modules.find(to);
-      if (it == modules.end()) continue;
-      ready += enqueue(it->second->on_message(msg), to);
-    }
-    return ready;
-  }
-
-  void assert_all_keyed() {
-    ASSERT_FALSE(current_view.members.empty());
-    util::Bytes ref;
-    for (const auto& m : current_view.members) {
-      auto it = modules.find(m);
-      ASSERT_NE(it, modules.end());
-      ASSERT_TRUE(it->second->has_key()) << m.to_string();
-      const util::Bytes k = it->second->session_key(16);
-      if (ref.empty()) ref = k;
-      EXPECT_EQ(k, ref) << m.to_string();
-    }
-  }
-
-  const DhGroup& dh;
-  cliques::KeyDirectory dir;
-  std::string name;
-  std::vector<std::unique_ptr<crypto::HmacDrbg>> rnds;
-  std::map<MemberId, std::unique_ptr<KeyAgreementModule>> modules;
-  std::deque<std::pair<MemberId, gcs::Message>> queue;
-  GroupView current_view;
-  std::uint64_t round = 0;
+/// The bus every case runs on: tiny64, group "bus".
+struct Bus : bench::KaBus {
+  explicit Bus(const std::string& ka_name) : KaBus(ka_name, DhGroup::tiny64(), "bus", 1000) {}
 };
 
 class KaModuleParam : public ::testing::TestWithParam<const char*> {};
@@ -154,7 +27,7 @@ TEST_P(KaModuleParam, SingletonKeysImmediately) {
   bus.add_member(1);
   const int ready = bus.deliver_view(bus.make_view({1}, MembershipReason::kJoin, {1}, {}));
   EXPECT_EQ(ready, 1);
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 TEST_P(KaModuleParam, JoinMapsToJoinOperation) {
@@ -163,7 +36,7 @@ TEST_P(KaModuleParam, JoinMapsToJoinOperation) {
   bus.deliver_view(bus.make_view({1}, MembershipReason::kJoin, {1}, {}));
   bus.add_member(2);
   bus.deliver_view(bus.make_view({1, 2}, MembershipReason::kJoin, {2}, {}));
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 TEST_P(KaModuleParam, SequentialJoinsStayAgreed) {
@@ -175,7 +48,7 @@ TEST_P(KaModuleParam, SequentialJoinsStayAgreed) {
     bus.add_member(i);
     members.push_back(i);
     bus.deliver_view(bus.make_view(members, MembershipReason::kJoin, {i}, {}));
-    bus.assert_all_keyed();
+    ASSERT_EQ(bus.agreement_failure(), "");
   }
 }
 
@@ -189,11 +62,11 @@ TEST_P(KaModuleParam, LeaveMapsToLeaveOperation) {
     for (std::uint32_t j = 1; j <= i; ++j) m.push_back(j);
     bus.deliver_view(bus.make_view(m, MembershipReason::kJoin, {i}, {}));
   }
-  const util::Bytes before = bus.modules[mid(1)]->session_key(16);
+  const util::Bytes before = bus.module(1).session_key(16);
   bus.remove_member(2);
   bus.deliver_view(bus.make_view({1, 3, 4}, MembershipReason::kLeave, {}, {2}));
-  bus.assert_all_keyed();
-  EXPECT_NE(bus.modules[mid(1)]->session_key(16), before);
+  ASSERT_EQ(bus.agreement_failure(), "");
+  EXPECT_NE(bus.module(1).session_key(16), before);
 }
 
 TEST_P(KaModuleParam, DisconnectMapsToLeave) {
@@ -204,7 +77,7 @@ TEST_P(KaModuleParam, DisconnectMapsToLeave) {
   bus.deliver_view(bus.make_view({1, 2}, MembershipReason::kJoin, {2}, {}));
   bus.remove_member(2);
   bus.deliver_view(bus.make_view({1}, MembershipReason::kDisconnect, {}, {2}));
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 TEST_P(KaModuleParam, PartitionMapsToLeave) {
@@ -221,7 +94,7 @@ TEST_P(KaModuleParam, PartitionMapsToLeave) {
   bus.remove_member(4);
   bus.remove_member(5);
   bus.deliver_view(bus.make_view({1, 2, 3}, MembershipReason::kNetwork, {}, {4, 5}));
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 TEST_P(KaModuleParam, RefreshFromControllerRekeys) {
@@ -230,12 +103,11 @@ TEST_P(KaModuleParam, RefreshFromControllerRekeys) {
   bus.deliver_view(bus.make_view({1}, MembershipReason::kJoin, {1}, {}));
   bus.add_member(2);
   bus.deliver_view(bus.make_view({1, 2}, MembershipReason::kJoin, {2}, {}));
-  const util::Bytes before = bus.modules[mid(1)]->session_key(16);
+  const util::Bytes before = bus.module(1).session_key(16);
   // Ask every member; exactly the controller acts, others forward.
-  for (auto& [id, module] : bus.modules) bus.enqueue(module->request_refresh(), id);
-  bus.pump();
-  bus.assert_all_keyed();
-  EXPECT_NE(bus.modules[mid(1)]->session_key(16), before);
+  bus.request_refresh_all();
+  ASSERT_EQ(bus.agreement_failure(), "");
+  EXPECT_NE(bus.module(1).session_key(16), before);
 }
 
 TEST_P(KaModuleParam, LeaveThenRejoinRestartsKey) {
@@ -246,21 +118,21 @@ TEST_P(KaModuleParam, LeaveThenRejoinRestartsKey) {
   bus.deliver_view(bus.make_view({1, 2}, MembershipReason::kJoin, {2}, {}));
   bus.add_member(3);
   bus.deliver_view(bus.make_view({1, 2, 3}, MembershipReason::kJoin, {3}, {}));
-  bus.assert_all_keyed();
-  const util::Bytes with_three = bus.modules[mid(1)]->session_key(16);
+  ASSERT_EQ(bus.agreement_failure(), "");
+  const util::Bytes with_three = bus.module(1).session_key(16);
 
   // Member 2 leaves, then rejoins with a FRESH module instance (a real
   // rejoiner restarts its key epoch — no state survives the leave).
   bus.remove_member(2);
   bus.deliver_view(bus.make_view({1, 3}, MembershipReason::kLeave, {}, {2}));
-  bus.assert_all_keyed();
-  const util::Bytes without_two = bus.modules[mid(1)]->session_key(16);
+  ASSERT_EQ(bus.agreement_failure(), "");
+  const util::Bytes without_two = bus.module(1).session_key(16);
   EXPECT_NE(without_two, with_three) << "leave must rotate the key";
 
   bus.add_member(2);
   bus.deliver_view(bus.make_view({1, 3, 2}, MembershipReason::kJoin, {2}, {}));
-  bus.assert_all_keyed();
-  const util::Bytes rejoined = bus.modules[mid(1)]->session_key(16);
+  ASSERT_EQ(bus.agreement_failure(), "");
+  const util::Bytes rejoined = bus.module(1).session_key(16);
   EXPECT_NE(rejoined, without_two) << "rejoin must rotate the key";
   EXPECT_NE(rejoined, with_three) << "the rejoined group must not resurrect the old key";
 }
@@ -310,7 +182,7 @@ TEST(CliquesModuleOnly, MergeOfTwoKeyedSides) {
   // versa — the bus approximates with joined = {3,4} (side A's view), which
   // is what the initiating side sees.
   bus.deliver_view(bus.make_view({1, 2, 3, 4}, MembershipReason::kNetwork, {3, 4}, {}));
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 TEST(CliquesModuleOnly, ControllerLossRecovery) {
@@ -327,7 +199,7 @@ TEST(CliquesModuleOnly, ControllerLossRecovery) {
   bus.remove_member(4);
   bus.remove_member(3);
   bus.deliver_view(bus.make_view({1, 2}, MembershipReason::kNetwork, {}, {3, 4}));
-  bus.assert_all_keyed();
+  ASSERT_EQ(bus.agreement_failure(), "");
 }
 
 }  // namespace
