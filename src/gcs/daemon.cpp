@@ -117,6 +117,11 @@ std::string Daemon::debug_state() const {
   return out;
 }
 
+std::size_t Daemon::stored_messages() const {
+  const auto it = contexts_.find(view_id_);
+  return it == contexts_.end() ? 0 : it->second.store.size();
+}
+
 Daemon::Counters::Counters(const obs::Labels& labels)
     : views_installed("gcs.daemon.views_installed", labels),
       gathers_started("gcs.daemon.gathers_started", labels),
@@ -159,18 +164,24 @@ void Daemon::handle_message(DaemonId from, const util::SharedBytes& raw) {
       case MsgType::kHeartbeat: {
         const auto m = util::decode<HeartbeatMsg>(body);
         max_round_seen_ = std::max(max_round_seen_, m.view.round);
-        // Stability input for SAFE delivery.
+        const bool member =
+            std::find(view_members_.begin(), view_members_.end(), from) != view_members_.end();
+        // Stability (SAFE) and trimming input, only from a peer in this very
+        // view: counters of another view say nothing about this one's.
         auto it = contexts_.find(view_id_);
-        if (it != contexts_.end() &&
-            std::find(view_members_.begin(), view_members_.end(), from) != view_members_.end()) {
-          it->second.peer_contig_gseq[from] = m.delivered_gseq;
-          if (!it->second.frozen) try_deliver(it->second);
+        if (it != contexts_.end() && member && m.view == view_id_) {
+          ViewContext& ctx = it->second;
+          ctx.peer_contig_gseq[from] = m.delivered_gseq;
+          auto& received = ctx.peer_received[from];
+          for (const auto& [sender, seq] : m.received) {
+            if (std::find(ctx.members.begin(), ctx.members.end(), sender) != ctx.members.end()) {
+              received[sender] = seq;
+            }
+          }
+          if (!ctx.frozen) try_deliver(ctx);
         }
         // Foreign daemon with an alien view: network components merged.
-        if (state_ == DState::kOperational &&
-            std::find(view_members_.begin(), view_members_.end(), from) == view_members_.end()) {
-          trigger_gather();
-        }
+        if (state_ == DState::kOperational && !member) trigger_gather();
         break;
       }
       case MsgType::kGatherAnnounce:
@@ -210,7 +221,7 @@ void Daemon::handle_message(DaemonId from, const util::SharedBytes& raw) {
           out.service = ServiceType::kFifo;
           out.msg_type = m.msg_type;
           out.payload = std::move(m.payload);
-          post_to_client(m.to.client, out);
+          post_to_client({m.to.client}, out);
         }
         break;
       }
@@ -225,7 +236,12 @@ void Daemon::send_heartbeats() {
   HeartbeatMsg hb;
   hb.view = view_id_;
   auto it = contexts_.find(view_id_);
-  hb.delivered_gseq = it != contexts_.end() ? it->second.contig_gseq : 0;
+  if (it != contexts_.end()) {
+    ViewContext& ctx = it->second;
+    hb.delivered_gseq = ctx.contig_gseq;
+    hb.received.assign(ctx.recv_high.begin(), ctx.recv_high.end());
+    trim_store(ctx);
+  }
   // One shared encoding, chained into every peer's frame without copying.
   const util::SharedBytes framed{frame(MsgType::kHeartbeat, hb.encode())};
   for (DaemonId peer : configured_) {
@@ -241,12 +257,15 @@ void Daemon::broadcast_to(const std::vector<DaemonId>& daemons, MsgType type,
   for (DaemonId d : daemons) links_->send(d, framed);
 }
 
-void Daemon::post_to_client(std::uint32_t client, const Message& msg) {
+void Daemon::post_to_client(std::vector<std::uint32_t> clients, const Message& msg) {
   // The lambda's Message copy shares the payload block — zero payload
   // copies no matter how many local clients a multicast fans out to.
-  schedule_client_delivery([this, client, msg] {
-    auto it = clients_.find(client);
-    if (it != clients_.end() && it->second.connected) it->second.cb->deliver_message(msg);
+  schedule_client_delivery([this, clients = std::move(clients), msg] {
+    for (std::uint32_t client : clients) {
+      // Re-checked per client: a callback may detach another client.
+      auto it = clients_.find(client);
+      if (it != clients_.end() && it->second.connected) it->second.cb->deliver_message(msg);
+    }
   });
 }
 

@@ -122,6 +122,10 @@ class Daemon : public runtime::PacketSink {
   /// One-line dump of the membership/delivery/link state machines, for test
   /// and incident diagnostics. Call from the daemon's own lane.
   std::string debug_state() const;
+  /// Number of messages the current view's store still holds (delivered
+  /// messages stay until every view member has received them). Call from
+  /// the daemon's own lane.
+  std::size_t stored_messages() const;
   /// Encrypted-link statistics (0 when link crypto is off).
   std::uint64_t link_frames_rejected() const {
     return links_ ? links_->frames_rejected() : 0;
@@ -147,6 +151,8 @@ class Daemon : public runtime::PacketSink {
 
   struct StoredMsg {
     DataMsg msg;
+    // Not implied by delivered_high: recovery delivers the stamped suffix
+    // before the unstamped remainder, out of per-sender order.
     bool delivered = false;
   };
 
@@ -160,6 +166,9 @@ class Daemon : public runtime::PacketSink {
     std::map<DaemonId, std::uint64_t> recv_high;  // contiguous receipt per sender
     std::map<DaemonId, std::uint64_t> delivered_high;  // contiguous delivery per sender
     std::map<std::pair<DaemonId, std::uint64_t>, StoredMsg> store;
+    // All-received line: per sender, the highest seq erased from `store`
+    // because every view member had received it (trim_store).
+    std::map<DaemonId, std::uint64_t> trimmed_high;
 
     // Agreed/safe ordering.
     std::uint64_t next_gseq = 1;     // sequencer's allocator
@@ -172,8 +181,10 @@ class Daemon : public runtime::PacketSink {
     std::uint64_t my_causal_sent = 0;
     std::map<DaemonId, std::uint64_t> causal_delivered;
 
-    // Stability (for kSafe): per-peer contiguous gseq from heartbeats.
+    // Stability (for kSafe) and trimming: per-peer contiguous gseq and
+    // per-peer, per-sender contiguous receipt, from this view's heartbeats.
     std::map<DaemonId, std::uint64_t> peer_contig_gseq;
+    std::map<DaemonId, std::map<DaemonId, std::uint64_t>> peer_received;
 
     // Group-change stamping within this view.
     std::uint64_t last_change_gseq = 0;
@@ -219,8 +230,10 @@ class Daemon : public runtime::PacketSink {
   void on_data(const DataMsg& msg);
   void on_order_stamp(const OrderStampMsg& msg);
   void store_message(ViewContext& ctx, const DataMsg& msg);
-  void sequencer_stamp(ViewContext& ctx);
   void try_deliver(ViewContext& ctx);
+  /// Erases what every view member has received and this daemon has
+  /// delivered (the all-received line). Runs once per heartbeat interval.
+  void trim_store(ViewContext& ctx);
   bool deliverable(const ViewContext& ctx, const StoredMsg& sm) const;
   void deliver_now(ViewContext& ctx, StoredMsg& sm);
   void deliver_to_clients(const DataMsg& msg);
@@ -251,9 +264,9 @@ class Daemon : public runtime::PacketSink {
   void send_heartbeats();
   void broadcast_to(const std::vector<DaemonId>& daemons, MsgType type, const util::Bytes& body);
   void schedule_client_delivery(std::function<void()> fn);
-  /// Single home for handing a message to one local client (async, shares
-  /// the payload block — no copies).
-  void post_to_client(std::uint32_t client, const Message& msg);
+  /// Single home for handing a message to local clients: one event hands
+  /// it to each of `clients` in order, sharing the payload block (no copies).
+  void post_to_client(std::vector<std::uint32_t> clients, const Message& msg);
   std::vector<MemberId> members_of(const GroupName& group) const;
   GroupViewId current_group_view_id(const GroupName& group) const;
 

@@ -7,6 +7,14 @@
 
 namespace ss::gcs {
 
+namespace {
+/// A per-daemon counter; 0 for a daemon not heard of yet.
+std::uint64_t count_of(const std::map<DaemonId, std::uint64_t>& counts, DaemonId d) {
+  const auto it = counts.find(d);
+  return it == counts.end() ? 0 : it->second;
+}
+}  // namespace
+
 void Daemon::flush_pending_sends() {
   while (!pending_sends_.empty() && state_ == DState::kOperational) {
     PendingSend ps = std::move(pending_sends_.front());
@@ -82,6 +90,7 @@ void Daemon::on_data(const DataMsg& msg) {
 }
 
 void Daemon::store_message(ViewContext& ctx, const DataMsg& msg) {
+  if (msg.seq <= count_of(ctx.trimmed_high, msg.sender)) return;  // held by all
   const auto key = std::make_pair(msg.sender, msg.seq);
   if (!ctx.store.emplace(key, StoredMsg{msg, false}).second) return;  // duplicate
 
@@ -89,25 +98,16 @@ void Daemon::store_message(ViewContext& ctx, const DataMsg& msg) {
   std::uint64_t& high = ctx.recv_high[msg.sender];
   while (ctx.store.contains({msg.sender, high + 1})) ++high;
 
-  // Sequencer stamps agreed/safe messages in receipt order.
+  // The sequencer stamps agreed/safe messages in receipt order (links are
+  // FIFO, so this is arrival order). Every earlier one was stamped on its
+  // own arrival, so the arriving message is the only unstamped one.
   if (!ctx.frozen && ctx.sequencer == self_ &&
       (msg.service == ServiceType::kAgreed || msg.service == ServiceType::kSafe)) {
-    sequencer_stamp(ctx);
-  }
-  update_contig_gseq(ctx);
-}
-
-void Daemon::sequencer_stamp(ViewContext& ctx) {
-  // Stamp every stored, unstamped agreed/safe message whose receipt is
-  // contiguous (links are FIFO so this is simply arrival order).
-  for (auto& [key, sm] : ctx.store) {
-    if (sm.msg.service != ServiceType::kAgreed && sm.msg.service != ServiceType::kSafe) continue;
-    if (ctx.stamp_of.contains(key)) continue;
     OrderStampMsg stamp;
     stamp.view = ctx.id;
     stamp.gseq = ctx.next_gseq++;
-    stamp.sender = key.first;
-    stamp.seq = key.second;
+    stamp.sender = msg.sender;
+    stamp.seq = msg.seq;
     ctx.stamps[stamp.gseq] = key;
     ctx.stamp_of[key] = stamp.gseq;
     const util::SharedBytes framed{frame(MsgType::kOrderStamp, stamp.encode())};
@@ -115,6 +115,7 @@ void Daemon::sequencer_stamp(ViewContext& ctx) {
       if (d != self_) links_->send(d, framed);
     }
   }
+  update_contig_gseq(ctx);
 }
 
 void Daemon::on_order_stamp(const OrderStampMsg& msg) {
@@ -143,12 +144,8 @@ void Daemon::update_contig_gseq(ViewContext& ctx) {
 }
 
 bool Daemon::deliverable(const ViewContext& ctx, const StoredMsg& sm) const {
+  // try_deliver passes only a sender's next-expected message (per-sender FIFO).
   const DataMsg& m = sm.msg;
-  // Per-sender FIFO prerequisite for every service.
-  const auto dh = ctx.delivered_high.find(m.sender);
-  const std::uint64_t delivered = dh == ctx.delivered_high.end() ? 0 : dh->second;
-  if (m.seq != delivered + 1) return false;
-
   switch (m.service) {
     case ServiceType::kUnreliable:
     case ServiceType::kReliable:
@@ -187,17 +184,46 @@ bool Daemon::deliverable(const ViewContext& ctx, const StoredMsg& sm) const {
 }
 
 void Daemon::try_deliver(ViewContext& ctx) {
+  // Every service is per-sender FIFO, so each sender's next-expected
+  // message is its only candidate. Lowest sender first; start over after
+  // each delivery, which may unblock a lower sender.
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto& [key, sm] : ctx.store) {
-      if (sm.delivered) continue;
-      if (!deliverable(ctx, sm)) continue;
-      deliver_now(ctx, sm);
+    for (DaemonId d : ctx.members) {
+      const auto it = ctx.store.find({d, count_of(ctx.delivered_high, d) + 1});
+      if (it == ctx.store.end() || !deliverable(ctx, it->second)) continue;
+      deliver_now(ctx, it->second);
       progress = true;
-      break;  // restart the scan: delivery may unblock earlier keys
+      break;
     }
   }
+}
+
+void Daemon::trim_store(ViewContext& ctx) {
+  if (ctx.frozen) return;  // recovery may still serve or deliver anything
+  for (DaemonId s : ctx.members) {
+    std::uint64_t line = count_of(ctx.delivered_high, s);
+    for (DaemonId p : ctx.members) {
+      if (p == self_) continue;
+      const auto peer = ctx.peer_received.find(p);
+      line = peer == ctx.peer_received.end() ? 0 : std::min(line, count_of(peer->second, s));
+    }
+    std::uint64_t& trimmed = ctx.trimmed_high[s];
+    if (line <= trimmed) continue;
+    const auto from = std::make_pair(s, trimmed + 1);
+    const auto to = std::make_pair(s, line);
+    ctx.store.erase(ctx.store.lower_bound(from), ctx.store.upper_bound(to));
+    ctx.stamp_of.erase(ctx.stamp_of.lower_bound(from), ctx.stamp_of.upper_bound(to));
+    trimmed = line;
+  }
+  // A member that has not delivered gseq g still holds stamp g itself, so
+  // every recovery plan keeps it.
+  std::uint64_t stable = ctx.delivered_gseq;
+  for (DaemonId p : ctx.members) {
+    if (p != self_) stable = std::min(stable, count_of(ctx.peer_contig_gseq, p));
+  }
+  ctx.stamps.erase(ctx.stamps.begin(), ctx.stamps.upper_bound(stable));
 }
 
 void Daemon::deliver_now(ViewContext& ctx, StoredMsg& sm) {
@@ -343,7 +369,11 @@ void Daemon::deliver_group_view(const GroupName& group, MembershipReason reason,
 }
 
 void Daemon::deliver_to_clients(const DataMsg& m) {
-  const std::vector<MemberId> members = members_of(m.group);
+  std::vector<std::uint32_t> local;
+  for (const auto& member : members_of(m.group)) {
+    if (member.daemon == self_) local.push_back(member.client);
+  }
+  if (local.empty()) return;
   Message out;
   out.group = m.group;
   out.sender = m.origin;
@@ -351,10 +381,7 @@ void Daemon::deliver_to_clients(const DataMsg& m) {
   out.msg_type = m.msg_type;
   out.payload = m.payload;  // refcount bump, not a copy
   out.view_id = current_group_view_id(m.group);
-  for (const auto& member : members) {
-    if (member.daemon != self_) continue;
-    post_to_client(member.client, out);
-  }
+  post_to_client(std::move(local), out);
 }
 
 }  // namespace ss::gcs

@@ -299,10 +299,12 @@ void Daemon::continue_recovery() {
   ViewContext& ctx = ctx_it->second;
 
   // Find holes below the cut and request them from members that hold them.
+  // Below the all-received line nothing is missing: every member of the
+  // old view held those messages when this daemon trimmed them.
   std::map<DaemonId, std::vector<std::pair<DaemonId, std::uint64_t>>> requests;
   bool missing_any = false;
   for (const auto& [sender, cut] : plan->fifo_cut) {
-    for (std::uint64_t seq = 1; seq <= cut; ++seq) {
+    for (std::uint64_t seq = ctx.trimmed_high[sender] + 1; seq <= cut; ++seq) {
       const auto key = std::make_pair(sender, seq);
       if (ctx.store.contains(key)) continue;
       missing_any = true;

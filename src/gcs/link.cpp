@@ -87,7 +87,7 @@ void LinkManager::flush_pack(DaemonId to) {
   if (sit == send_.end()) return;
   SendState& st = sit->second;
   if (st.pack_armed) {
-    clock_.cancel(st.pack_timer);  // no-op when called from the timer itself
+    clock_.cancel(st.pack_timer);
     st.pack_armed = false;
   }
   if (st.pack_queue.empty()) return;
@@ -141,7 +141,11 @@ void LinkManager::send(DaemonId to, util::SharedBytes msg) {
     st.pack_queue.push_back(seq);
     if (!st.pack_armed) {
       st.pack_armed = true;
-      st.pack_timer = clock_.after(0, [this, to] { flush_pack(to); });
+      st.pack_timer = clock_.after(0, [this, to] {
+        // The timer has fired: there is nothing left for flush_pack to cancel.
+        if (auto it = send_.find(to); it != send_.end()) it->second.pack_armed = false;
+        flush_pack(to);
+      });
     }
   } else {
     // Big message: flush queued smalls first so wire order matches seq
@@ -174,6 +178,14 @@ void LinkManager::on_timeout(DaemonId peer) {
   SendState& st = send_[peer];
   st.timer_armed = false;
   if (st.unacked.empty()) return;
+  // The RTO runs from the last ack that made progress. Acks do not re-arm
+  // the timer (a cancel per ack), so it may fire early: wait out the rest.
+  const runtime::Time due = st.progress_at + (timing_.link_rto << st.backoff_shift);
+  if (clock_.now() < due) {
+    st.timer_armed = true;
+    st.rto_timer = clock_.after(due - clock_.now(), [this, peer] { on_timeout(peer); });
+    return;
+  }
   // Go-back-N: resend everything outstanding (network is per-pair FIFO,
   // so the receiver reaccepts in order). Exponential backoff bounds the
   // retransmission churn toward partitioned or crashed peers.
@@ -270,7 +282,10 @@ void LinkManager::dispatch_frame(DaemonId from, const util::Frame& f) {
     while (!st.unacked.empty() && st.unacked.begin()->first <= cum) {
       st.unacked.erase(st.unacked.begin());
     }
-    if (progressed) st.backoff_shift = 0;
+    if (progressed) {
+      st.backoff_shift = 0;
+      st.progress_at = clock_.now();
+    }
     if (st.unacked.empty() && st.timer_armed) {
       clock_.cancel(st.rto_timer);
       st.timer_armed = false;

@@ -82,6 +82,7 @@ class LinkManager {
     runtime::TimerId rto_timer = 0;
     bool timer_armed = false;
     std::uint32_t backoff_shift = 0;
+    runtime::Time progress_at = 0;  // when an ack last retired a message
     // Small messages queued for packing; flushed in the same instant.
     std::vector<std::uint64_t> pack_queue;
     runtime::TimerId pack_timer = 0;

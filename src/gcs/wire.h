@@ -34,15 +34,17 @@ constexpr bool wire_valid(MsgType t) {
 }
 
 /// Periodic, unreliable. Carries the sender's installed view (foreign-view
-/// detection => merge trigger) and its contiguously-delivered agreed
-/// sequence number (stability input for SAFE delivery).
+/// detection => merge trigger), its contiguously-held agreed sequence number
+/// (stability input for SAFE delivery) and its contiguous receipt per sender
+/// in that view (the all-received line that trims the store).
 struct HeartbeatMsg {
   ViewId view;
   std::uint64_t delivered_gseq = 0;
+  std::vector<std::pair<DaemonId, std::uint64_t>> received;
 
   template <class S>
   void fields(S& s) {
-    s(view, delivered_gseq);
+    s(view, delivered_gseq, received);
   }
   util::Bytes encode() const { return util::encode(*this); }
 };

@@ -147,6 +147,20 @@ TEST(LinkTest, BackoffBoundsRetransmissionChurn) {
   ASSERT_EQ(lp.b_received.size(), 1u);
 }
 
+TEST(LinkTest, SteadyTrafficDoesNotRetransmit) {
+  // A send every 100 us on a lossless link (RTT ~300 us, link_rto 2 ms):
+  // something is always unacked, but every ack makes progress, so the RTO
+  // (counted from the last progress) never expires.
+  LinkPair lp;
+  for (int i = 0; i < 500; ++i) {
+    lp.a->send(lp.node_b, bytes_of("s" + std::to_string(i)));
+    lp.sched.run_for(100 * sim::kMicrosecond);
+  }
+  lp.sched.run_for(100 * sim::kMillisecond);
+  EXPECT_EQ(lp.b_received.size(), 500u);
+  EXPECT_EQ(lp.a->retransmissions(), 0u);
+}
+
 TEST(LinkTest, ShutdownStopsTraffic) {
   LinkPair lp;
   lp.a->send(lp.node_b, bytes_of("pre"));

@@ -70,9 +70,12 @@ TEST(WireGolden, GcsDaemonMessages) {
   gcs::HeartbeatMsg hb;
   hb.view = ViewId{12, 1};
   hb.delivered_gseq = 77;
-  EXPECT_EQ(hex(hb.encode()), "000000000000000c00000001000000000000004d");
+  hb.received = {{1, 4}, {2, 6}};
+  EXPECT_EQ(hex(hb.encode()),
+            "000000000000000c00000001000000000000004d000000020000000100000000000000040000"
+            "00020000000000000006");
   EXPECT_EQ(hex(gcs::frame(gcs::MsgType::kHeartbeat, hb.encode())),
-            "01000000000000000c00000001000000000000004d");
+            "01" + hex(hb.encode()));
 
   gcs::GatherAnnounceMsg ga;
   ga.round = 13;
