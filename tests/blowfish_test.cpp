@@ -57,6 +57,21 @@ INSTANTIATE_TEST_SUITE_P(
                       EcbVector{"0123456789abcdef", "1111111111111111", "61f9c3802281b096"},
                       EcbVector{"fedcba9876543210", "0123456789abcdef", "0aceab0fc6a0a28d"}));
 
+// Eric Young's CBC vector (same source as the ECB vectors above): 28 bytes
+// of text and four zero bytes. encrypt_cbc appends a full PKCS#7 block, so
+// only the first 32 bytes are the published ciphertext.
+TEST(BlowfishTest, CbcKnownAnswer) {
+  Blowfish bf(from_hex("0123456789abcdeff0e1d2c3b4a59687"));
+  const Bytes iv = from_hex("fedcba9876543210");
+  Bytes pt = bytes_of("7654321 Now is the time for ");
+  pt.resize(32, 0x00);
+  const Bytes ct = bf.encrypt_cbc(iv, pt);
+  ASSERT_EQ(ct.size(), 40u);
+  EXPECT_EQ(to_hex(Bytes(ct.begin(), ct.begin() + 32)),
+            "6b77b4d63006dee605b156e27403979358deb9e7154616d959f1652bd5ff92cc");
+  EXPECT_EQ(bf.decrypt_cbc(iv, ct), pt);
+}
+
 TEST(BlowfishTest, KeySizeValidation) {
   EXPECT_THROW(Blowfish(Bytes(3, 0)), std::invalid_argument);
   EXPECT_THROW(Blowfish(Bytes(57, 0)), std::invalid_argument);
