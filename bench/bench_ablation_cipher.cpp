@@ -4,6 +4,7 @@
 // isolates the paper's claim that bulk data protection is cheap relative to
 // key management.
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -23,6 +24,15 @@ struct Result {
   double latency_ms = 0;
 };
 
+// A run whose group never forms or keys, or whose burst does not fully
+// arrive, would still print a CPU figure; stop instead.
+void require(bool ok, const std::string& cipher, std::size_t payload_size, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "bench_ablation_cipher: %s, %zu-byte payload: %s\n", cipher.c_str(),
+               payload_size, what);
+  std::exit(1);
+}
+
 Result run(const std::string& cipher, int messages, std::size_t payload_size) {
   sim::Scheduler sched;
   sim::SimNetwork net(sched, 3);
@@ -34,14 +44,15 @@ Result run(const std::string& cipher, int messages, std::size_t payload_size) {
     net.add_node(daemons.back().get());
   }
   for (auto& d : daemons) d->start();
-  sched.run_until_condition(
-      [&] {
-        for (auto& d : daemons) {
-          if (!d->is_operational() || d->view_members().size() != 2) return false;
-        }
-        return true;
-      },
-      10 * sim::kSecond);
+  require(sched.run_until_condition(
+              [&] {
+                for (auto& d : daemons) {
+                  if (!d->is_operational() || d->view_members().size() != 2) return false;
+                }
+                return true;
+              },
+              10 * sim::kSecond),
+          cipher, payload_size, "daemons never formed a view");
 
   cliques::KeyDirectory dir(crypto::DhGroup::tiny64());
   secure::SecureGroupClient a(*daemons[0], dir, 1);
@@ -54,20 +65,22 @@ Result run(const std::string& cipher, int messages, std::size_t payload_size) {
   cfg.dh = &crypto::DhGroup::tiny64();
   a.join("room", cfg);
   b.join("room", cfg);
-  sched.run_until_condition(
-      [&] {
-        const auto* va = a.current_view("room");
-        return va != nullptr && va->members.size() == 2 && a.has_key("room") &&
-               b.has_key("room");
-      },
-      sched.now() + 10 * sim::kSecond);
+  require(sched.run_until_condition(
+              [&] {
+                const auto* va = a.current_view("room");
+                return va != nullptr && va->members.size() == 2 && a.has_key("room") &&
+                       b.has_key("room");
+              },
+              sched.now() + 10 * sim::kSecond),
+          cipher, payload_size, "group never keyed");
 
   const ss::util::Bytes payload(payload_size, 0x77);
   const ss::obs::CpuStopwatch sw;
   const sim::Time t0 = sched.now();
   for (int i = 0; i < messages; ++i) a.send("room", payload);
-  sched.run_until_condition([&] { return received == messages; },
-                            sched.now() + 60 * sim::kSecond);
+  require(sched.run_until_condition([&] { return received == messages; },
+                                    sched.now() + 60 * sim::kSecond),
+          cipher, payload_size, "burst not fully delivered");
   Result r;
   r.cpu_per_msg_us = sw.seconds() * 1e6 / messages;
   r.latency_ms = static_cast<double>(sched.now() - t0) / 1000.0 / messages;

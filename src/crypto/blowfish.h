@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -34,9 +35,17 @@ class Blowfish {
   /// Throws std::runtime_error on bad padding or non-block-aligned input.
   util::Bytes decrypt_cbc(const util::Bytes& iv, const util::Bytes& ciphertext) const;
 
- private:
-  std::uint32_t feistel(std::uint32_t x) const;
+  /// Ciphertext bytes for `plaintext_len` bytes: padding adds 1..8.
+  static constexpr std::size_t cbc_size(std::size_t plaintext_len) {
+    return (plaintext_len / kBlockSize + 1) * kBlockSize;
+  }
+  /// CBC-encrypts into `out`, which has room for cbc_size(plaintext.size()).
+  void encrypt_cbc(const std::uint8_t iv[kBlockSize], std::span<const std::uint8_t> plaintext,
+                   std::uint8_t* out) const;
+  util::Bytes decrypt_cbc(const std::uint8_t iv[kBlockSize],
+                          std::span<const std::uint8_t> ciphertext) const;
 
+ private:
   std::array<std::uint32_t, 18> p_;
   std::array<std::array<std::uint32_t, 256>, 4> s_;
 };

@@ -1,24 +1,21 @@
 #include "crypto/drbg.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
-#include "crypto/hmac.h"
 #include "crypto/sha1.h"
 
 namespace ss::crypto {
 
 HmacDrbg::HmacDrbg(const util::Bytes& seed)
-    : key_(Sha1::kDigestSize, 0x00), v_(Sha1::kDigestSize, 0x01) {
+    : st_{HmacSha1(util::Bytes(Sha1::kDigestSize, 0x00)), {}} {
   util::MutexLock lk(mu_);  // uncontended; satisfies the analysis
+  st_.v.fill(0x01);
   update(seed);
 }
 
-HmacDrbg::HmacDrbg(const HmacDrbg& other) {
-  util::MutexLock lk(other.mu_);
-  key_ = other.key_;
-  v_ = other.v_;
-}
+HmacDrbg::HmacDrbg(const HmacDrbg& other) : st_(other.locked_state()) {}
 
 HmacDrbg::HmacDrbg(std::uint64_t seed, const std::string& personalization)
     : HmacDrbg([&] {
@@ -28,18 +25,18 @@ HmacDrbg::HmacDrbg(std::uint64_t seed, const std::string& personalization)
         return s;
       }()) {}
 
-void HmacDrbg::update(const util::Bytes& data) {
-  util::Bytes buf = v_;
-  buf.push_back(0x00);
-  buf.insert(buf.end(), data.begin(), data.end());
-  key_ = hmac_sha1(key_, buf);
-  v_ = hmac_sha1(key_, v_);
+HmacDrbg::State HmacDrbg::locked_state() const {
+  util::MutexLock lk(mu_);
+  return st_;
+}
+
+void HmacDrbg::update(std::span<const std::uint8_t> data) {
+  const std::uint8_t zero = 0x00, one = 0x01;
+  st_.key = HmacSha1(st_.key.tag({st_.v, {&zero, 1}, data}));
+  st_.v = st_.key.tag({st_.v});
   if (!data.empty()) {
-    buf = v_;
-    buf.push_back(0x01);
-    buf.insert(buf.end(), data.begin(), data.end());
-    key_ = hmac_sha1(key_, buf);
-    v_ = hmac_sha1(key_, v_);
+    st_.key = HmacSha1(st_.key.tag({st_.v, {&one, 1}, data}));
+    st_.v = st_.key.tag({st_.v});
   }
 }
 
@@ -47,9 +44,9 @@ void HmacDrbg::fill(std::uint8_t* out, std::size_t len) {
   util::MutexLock lk(mu_);
   std::size_t produced = 0;
   while (produced < len) {
-    v_ = hmac_sha1(key_, v_);
-    const std::size_t take = std::min(len - produced, v_.size());
-    std::copy(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(take), out + produced);
+    st_.v = st_.key.tag({st_.v});
+    const std::size_t take = std::min(len - produced, st_.v.size());
+    std::copy_n(st_.v.begin(), take, out + produced);
     produced += take;
   }
   update({});

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "crypto/bignum.h"
+#include "crypto/hmac.h"
 #include "util/bytes.h"
 #include "util/mutex.h"
 #include "util/thread_safety.h"
@@ -40,11 +42,18 @@ class HmacDrbg final : public RandomSource {
   static HmacDrbg from_os_entropy();
 
  private:
-  void update(const util::Bytes& data) SS_REQUIRES(mu_);
+  // K is kept keyed: the HMAC pads of a key are hashed once when K changes,
+  // not once per output block.
+  struct State {
+    HmacSha1 key;
+    HmacSha1::Tag v;
+  };
+
+  State locked_state() const SS_EXCLUDES(mu_);
+  void update(std::span<const std::uint8_t> data) SS_REQUIRES(mu_);
 
   mutable util::Mutex mu_;
-  util::Bytes key_ SS_GUARDED_BY(mu_);
-  util::Bytes v_ SS_GUARDED_BY(mu_);
+  State st_ SS_GUARDED_BY(mu_);
 };
 
 }  // namespace ss::crypto

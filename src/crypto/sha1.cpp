@@ -1,11 +1,83 @@
 #include "crypto/sha1.h"
 
-#include <cstring>
+#include <algorithm>
+
+#include "crypto/be32.h"
 
 namespace ss::crypto {
 
 namespace {
-std::uint32_t rotl(std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+
+using detail::load_be32;
+using detail::store_be32;
+
+constexpr std::uint32_t rotl(std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+
+// The boolean function of each 20-round stage (FIPS 180-1 §5).
+struct Choose {
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+    return d ^ (b & (c ^ d));
+  }
+};
+struct Parity {
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) { return b ^ c ^ d; }
+};
+struct Majority {
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+    return (b & c) | (d & (b | c));
+  }
+};
+
+// Round T. Instead of shifting five values along, the caller rotates the
+// names: this round leaves the new `a` in `e` and the new `c` in `b`. From
+// round 16 on, w[T mod 16] is replaced by the schedule word W[T].
+template <class F, std::uint32_t K, int T>
+inline void round(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+                  std::uint32_t& e, std::uint32_t (&w)[16]) {
+  if constexpr (T >= 16) {
+    w[T & 15] = rotl(w[(T - 3) & 15] ^ w[(T - 8) & 15] ^ w[(T - 14) & 15] ^ w[T & 15], 1);
+  }
+  e += rotl(a, 5) + F::f(b, c, d) + K + w[T & 15];
+  b = rotl(b, 30);
+}
+
+// Five rounds bring the names back to where they started.
+template <class F, std::uint32_t K, int T>
+inline void five_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
+                        std::uint32_t& e, std::uint32_t (&w)[16]) {
+  round<F, K, T>(a, b, c, d, e, w);
+  round<F, K, T + 1>(e, a, b, c, d, w);
+  round<F, K, T + 2>(d, e, a, b, c, w);
+  round<F, K, T + 3>(c, d, e, a, b, w);
+  round<F, K, T + 4>(b, c, d, e, a, w);
+}
+
+template <class F, std::uint32_t K, int T>
+inline void stage(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
+                  std::uint32_t& e, std::uint32_t (&w)[16]) {
+  five_rounds<F, K, T>(a, b, c, d, e, w);
+  five_rounds<F, K, T + 5>(a, b, c, d, e, w);
+  five_rounds<F, K, T + 10>(a, b, c, d, e, w);
+  five_rounds<F, K, T + 15>(a, b, c, d, e, w);
+}
+
+void compress(std::array<std::uint32_t, 5>& h, const std::uint8_t* data, std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha1::kBlockSize) {
+    std::uint32_t w[16];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    stage<Choose, 0x5A827999u, 0>(a, b, c, d, e, w);
+    stage<Parity, 0x6ED9EBA1u, 20>(a, b, c, d, e, w);
+    stage<Majority, 0x8F1BBCDCu, 40>(a, b, c, d, e, w);
+    stage<Parity, 0xCA62C1D6u, 60>(a, b, c, d, e, w);
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+  }
+}
+
 }  // namespace
 
 Sha1::Sha1() { reset(); }
@@ -18,75 +90,41 @@ void Sha1::reset() {
 
 void Sha1::update(const std::uint8_t* data, std::size_t len) {
   total_len_ += len;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     const std::size_t take = std::min(len, kBlockSize - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data, take);
+    std::copy_n(data, take, buffer_.data() + buffer_len_);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kBlockSize) return;
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
+  // Whole blocks are hashed where they lie; only a tail is buffered.
+  const std::size_t whole = len / kBlockSize;
+  compress(h_, data, whole);
+  buffer_len_ = len - whole * kBlockSize;
+  std::copy_n(data + whole * kBlockSize, buffer_len_, buffer_.data());
 }
 
 std::array<std::uint8_t, Sha1::kDigestSize> Sha1::digest() {
+  // 0x80, zeros, then the 64-bit message length, padded in the buffer.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(len_bytes, 8);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.end(), 0);
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.end() - 8, 0);
+  store_be32(buffer_.data() + kBlockSize - 8, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buffer_.data() + kBlockSize - 4, static_cast<std::uint32_t>(bit_len));
+  compress(h_, buffer_.data(), 1);
+  buffer_len_ = 0;
 
   std::array<std::uint8_t, kDigestSize> out{};
-  for (int i = 0; i < 5; ++i) {
-    out[static_cast<std::size_t>(i) * 4 + 0] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[static_cast<std::size_t>(i) * 4 + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[static_cast<std::size_t>(i) * 4 + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[static_cast<std::size_t>(i) * 4 + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
+  for (std::size_t i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, h_[i]);
   return out;
-}
-
-void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4] << 24 | block[i * 4 + 1] << 16 |
-                                      block[i * 4 + 2] << 8 | block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 util::Bytes Sha1::hash(const util::Bytes& data) {

@@ -29,8 +29,6 @@ class Sha1 {
   static util::Bytes hash(const util::Bytes& data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 5> h_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;

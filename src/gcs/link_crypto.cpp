@@ -32,7 +32,7 @@ LinkCrypto::LinkCrypto(const DaemonKeyStore& store, DaemonId self, std::uint64_t
   if (!store_.has(self)) throw std::logic_error("LinkCrypto: self not provisioned");
 }
 
-LinkCrypto::PeerKeys& LinkCrypto::keys_for(DaemonId peer) {
+const crypto::CbcHmacSealer& LinkCrypto::sealer_for(DaemonId peer) {
   auto it = peers_.find(peer);
   if (it != peers_.end()) return it->second;
 
@@ -41,47 +41,18 @@ LinkCrypto::PeerKeys& LinkCrypto::keys_for(DaemonId peer) {
   const crypto::Bignum shared =
       store_.group().exp(store_.public_key(peer), store_.private_key(self_));
   const util::Bytes ikm = shared.to_bytes();
-  PeerKeys keys;
-  keys.cipher = std::make_unique<crypto::Blowfish>(crypto::kdf_sha1(ikm, "link/cipher", 16));
-  keys.mac_key = crypto::kdf_sha1(ikm, "link/mac", 20);
-  return peers_.emplace(peer, std::move(keys)).first->second;
+  return peers_
+      .try_emplace(peer, crypto::kdf_sha1(ikm, "link/cipher", 16),
+                   crypto::kdf_sha1(ikm, "link/mac", 20))
+      .first->second;
 }
 
 util::Bytes LinkCrypto::seal(DaemonId peer, const util::Bytes& frame) {
-  PeerKeys& keys = keys_for(peer);
-  util::Bytes iv(crypto::Blowfish::kBlockSize);
-  rnd_.fill(iv.data(), iv.size());
-  const util::Bytes ct = keys.cipher->encrypt_cbc(iv, frame);
-
-  util::Bytes mac_input = iv;
-  mac_input.insert(mac_input.end(), ct.begin(), ct.end());
-  const util::Bytes tag = crypto::hmac_sha1(keys.mac_key, mac_input);
-
-  util::Bytes out;
-  out.reserve(iv.size() + tag.size() + ct.size());
-  out.insert(out.end(), iv.begin(), iv.end());
-  out.insert(out.end(), tag.begin(), tag.end());
-  out.insert(out.end(), ct.begin(), ct.end());
-  return out;
+  return sealer_for(peer).seal(frame, {}, rnd_);
 }
 
 util::Bytes LinkCrypto::open(DaemonId peer, const util::Bytes& sealed) {
-  PeerKeys& keys = keys_for(peer);
-  constexpr std::size_t kIv = crypto::Blowfish::kBlockSize;
-  constexpr std::size_t kTag = 20;
-  if (sealed.size() < kIv + kTag + crypto::Blowfish::kBlockSize) {
-    throw std::runtime_error("LinkCrypto: frame too short");
-  }
-  const util::Bytes iv(sealed.begin(), sealed.begin() + kIv);
-  const util::Bytes tag(sealed.begin() + kIv, sealed.begin() + kIv + kTag);
-  const util::Bytes ct(sealed.begin() + kIv + kTag, sealed.end());
-
-  util::Bytes mac_input = iv;
-  mac_input.insert(mac_input.end(), ct.begin(), ct.end());
-  if (!util::ct_equal(tag, crypto::hmac_sha1(keys.mac_key, mac_input))) {
-    throw std::runtime_error("LinkCrypto: authentication failure");
-  }
-  return keys.cipher->decrypt_cbc(iv, ct);
+  return sealer_for(peer).open(sealed, {});
 }
 
 }  // namespace ss::gcs

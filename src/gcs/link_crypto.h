@@ -15,12 +15,11 @@
 #pragma once
 
 #include <map>
-#include <memory>
 
 #include "crypto/bignum.h"
-#include "crypto/blowfish.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
+#include "crypto/sealer.h"
 #include "gcs/types.h"
 #include "util/bytes.h"
 
@@ -59,16 +58,13 @@ class LinkCrypto {
   util::Bytes open(DaemonId peer, const util::Bytes& sealed);
 
  private:
-  struct PeerKeys {
-    std::unique_ptr<crypto::Blowfish> cipher;
-    util::Bytes mac_key;
-  };
-  PeerKeys& keys_for(DaemonId peer);
+  /// The pairwise sealer; frames are sealed with an empty aad.
+  const crypto::CbcHmacSealer& sealer_for(DaemonId peer);
 
   const DaemonKeyStore& store_;
   DaemonId self_;
   crypto::HmacDrbg rnd_;
-  std::map<DaemonId, PeerKeys> peers_;
+  std::map<DaemonId, crypto::CbcHmacSealer> peers_;
 };
 
 }  // namespace ss::gcs

@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/blowfish.h"
-#include "crypto/hmac.h"
-
 namespace ss::secure {
 
 void BlowfishCbcHmacSuite::rekey(const util::Bytes& key_material) {
@@ -12,50 +9,17 @@ void BlowfishCbcHmacSuite::rekey(const util::Bytes& key_material) {
     throw std::invalid_argument("BlowfishCbcHmacSuite: short key material");
   }
   const util::Bytes cipher_key(key_material.begin(), key_material.begin() + kCipherKeyBytes);
-  mac_key_.assign(key_material.begin() + kCipherKeyBytes,
-                  key_material.begin() + kCipherKeyBytes + kMacKeyBytes);
-  bf_ = std::make_unique<crypto::Blowfish>(cipher_key);
+  sealer_.emplace(cipher_key, std::span(key_material).subspan(kCipherKeyBytes, kMacKeyBytes));
 }
 
-util::Bytes BlowfishCbcHmacSuite::protect(const util::Bytes& plaintext, const util::Bytes& aad,
-                                          crypto::RandomSource& rnd) {
-  if (!bf_) throw std::logic_error("BlowfishCbcHmacSuite: no key installed");
-  util::Bytes iv(crypto::Blowfish::kBlockSize);
-  rnd.fill(iv.data(), iv.size());
-  const util::Bytes ct = bf_->encrypt_cbc(iv, plaintext);
-
-  // Encrypt-then-MAC over aad || iv || ciphertext.
-  util::Bytes mac_input = aad;
-  mac_input.insert(mac_input.end(), iv.begin(), iv.end());
-  mac_input.insert(mac_input.end(), ct.begin(), ct.end());
-  const util::Bytes tag = crypto::hmac_sha1(mac_key_, mac_input);
-
-  util::Bytes out;
-  out.reserve(iv.size() + ct.size() + tag.size());
-  out.insert(out.end(), iv.begin(), iv.end());
-  out.insert(out.end(), tag.begin(), tag.end());
-  out.insert(out.end(), ct.begin(), ct.end());
-  return out;
+util::Bytes BlowfishCbcHmacSuite::protect(Span plaintext, Span aad, crypto::RandomSource& rnd) {
+  if (!sealer_) throw std::logic_error("BlowfishCbcHmacSuite: no key installed");
+  return sealer_->seal(plaintext, aad, rnd);
 }
 
-util::Bytes BlowfishCbcHmacSuite::unprotect(const util::Bytes& sealed, const util::Bytes& aad) {
-  if (!bf_) throw std::logic_error("BlowfishCbcHmacSuite: no key installed");
-  constexpr std::size_t kIv = crypto::Blowfish::kBlockSize;
-  if (sealed.size() < kIv + kTagBytes + crypto::Blowfish::kBlockSize) {
-    throw std::runtime_error("BlowfishCbcHmacSuite: sealed message too short");
-  }
-  const util::Bytes iv(sealed.begin(), sealed.begin() + kIv);
-  const util::Bytes tag(sealed.begin() + kIv, sealed.begin() + kIv + kTagBytes);
-  const util::Bytes ct(sealed.begin() + kIv + kTagBytes, sealed.end());
-
-  util::Bytes mac_input = aad;
-  mac_input.insert(mac_input.end(), iv.begin(), iv.end());
-  mac_input.insert(mac_input.end(), ct.begin(), ct.end());
-  const util::Bytes expected = crypto::hmac_sha1(mac_key_, mac_input);
-  if (!util::ct_equal(tag, expected)) {
-    throw std::runtime_error("BlowfishCbcHmacSuite: authentication failure");
-  }
-  return bf_->decrypt_cbc(iv, ct);
+util::Bytes BlowfishCbcHmacSuite::unprotect(Span sealed, Span aad) {
+  if (!sealer_) throw std::logic_error("BlowfishCbcHmacSuite: no key installed");
+  return sealer_->open(sealed, aad);
 }
 
 CipherRegistry& CipherRegistry::instance() {

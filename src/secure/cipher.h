@@ -2,13 +2,16 @@
 // replacement of encryption ... modules").
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "crypto/bignum.h"
-#include "crypto/blowfish.h"
+#include "crypto/sealer.h"
 #include "util/bytes.h"
 
 namespace ss::secure {
@@ -18,6 +21,8 @@ namespace ss::secure {
 /// key-agreement module on every epoch change.
 class CipherSuite {
  public:
+  using Span = std::span<const std::uint8_t>;
+
   virtual ~CipherSuite() = default;
 
   virtual std::string name() const = 0;
@@ -26,30 +31,27 @@ class CipherSuite {
   /// Installs a new epoch key.
   virtual void rekey(const util::Bytes& key_material) = 0;
   /// Encrypt-and-authenticate; `aad` is bound into the tag but not sent.
-  virtual util::Bytes protect(const util::Bytes& plaintext, const util::Bytes& aad,
-                              crypto::RandomSource& rnd) = 0;
+  virtual util::Bytes protect(Span plaintext, Span aad, crypto::RandomSource& rnd) = 0;
   /// Throws std::runtime_error on authentication failure or malformed input.
-  virtual util::Bytes unprotect(const util::Bytes& sealed, const util::Bytes& aad) = 0;
+  /// `sealed` is read in place (a received util::SharedBytes converts).
+  virtual util::Bytes unprotect(Span sealed, Span aad) = 0;
 };
 
 /// Blowfish-CBC with HMAC-SHA1 (encrypt-then-MAC) — the paper's bulk cipher
-/// plus the integrity MAC it cites.
+/// plus the integrity MAC it cites. Sealing is crypto::CbcHmacSealer's.
 class BlowfishCbcHmacSuite final : public CipherSuite {
  public:
   static constexpr std::size_t kCipherKeyBytes = 16;
   static constexpr std::size_t kMacKeyBytes = 20;
-  static constexpr std::size_t kTagBytes = 20;
 
   std::string name() const override { return "blowfish-cbc-hmac"; }
   std::size_t key_material_size() const override { return kCipherKeyBytes + kMacKeyBytes; }
   void rekey(const util::Bytes& key_material) override;
-  util::Bytes protect(const util::Bytes& plaintext, const util::Bytes& aad,
-                      crypto::RandomSource& rnd) override;
-  util::Bytes unprotect(const util::Bytes& sealed, const util::Bytes& aad) override;
+  util::Bytes protect(Span plaintext, Span aad, crypto::RandomSource& rnd) override;
+  util::Bytes unprotect(Span sealed, Span aad) override;
 
  private:
-  std::unique_ptr<crypto::Blowfish> bf_;
-  util::Bytes mac_key_;
+  std::optional<crypto::CbcHmacSealer> sealer_;
 };
 
 /// No-op suite for the ablation benchmarks (measures pure GCS cost).
@@ -58,11 +60,12 @@ class NullCipherSuite final : public CipherSuite {
   std::string name() const override { return "null"; }
   std::size_t key_material_size() const override { return 16; }
   void rekey(const util::Bytes&) override {}
-  util::Bytes protect(const util::Bytes& plaintext, const util::Bytes&,
-                      crypto::RandomSource&) override {
-    return plaintext;
+  util::Bytes protect(Span plaintext, Span, crypto::RandomSource&) override {
+    return util::Bytes(plaintext.begin(), plaintext.end());
   }
-  util::Bytes unprotect(const util::Bytes& sealed, const util::Bytes&) override { return sealed; }
+  util::Bytes unprotect(Span sealed, Span) override {
+    return util::Bytes(sealed.begin(), sealed.end());
+  }
 };
 
 /// Registry: cipher suites are selected by name per group at join time.

@@ -721,8 +721,7 @@ void SecureGroupClient::deliver_ciphertext(GroupState& st, const gcs::Message& m
   }
 
   try {
-    const util::Bytes sealed(env.sealed.begin(), env.sealed.end());
-    const util::Bytes plain = suite->unprotect(sealed, make_aad(msg.group, key_id));
+    const util::Bytes plain = suite->unprotect(env.sealed, make_aad(msg.group, key_id));
     if (gcs::ClientTrace* t = gcs::ClientTrace::global()) {
       t->on_message_opened(fm_.id(), msg.group, key_id, msg.view_id, st.view.view_id);
     }

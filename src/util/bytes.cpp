@@ -37,7 +37,7 @@ Bytes from_hex(std::string_view hex) {
   return out;
 }
 
-bool ct_equal(const Bytes& a, const Bytes& b) {
+bool ct_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
   if (a.size() != b.size()) return false;
   std::uint8_t acc = 0;
   for (std::size_t i = 0; i < a.size(); ++i) acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,7 +20,7 @@ std::string to_hex(const std::uint8_t* data, std::size_t len);
 Bytes from_hex(std::string_view hex);
 
 /// Constant-time equality for secrets (length leak is acceptable).
-bool ct_equal(const Bytes& a, const Bytes& b);
+bool ct_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
 
 /// Best-effort zeroization of key material.
 void secure_wipe(Bytes& b);

@@ -29,8 +29,10 @@
 #          then bench_ablation_rekey
 #          (cliques vs CKD vs TGDH at n=50,500 against
 #          BENCH_rekey_ablation.json, asserting TGDH stays O(log n) per
-#          member while Cliques' controller is O(n)); any binary exiting
-#          nonzero fails the stage
+#          member while Cliques' controller is O(n)), then
+#          bench_ablation_cipher (exits nonzero if a group never keys or a
+#          burst never fully arrives); any binary exiting nonzero fails the
+#          stage
 #   obs    observability gate: runs the Obs* test suites (metrics math,
 #          trace span balance, golden cluster trace), then captures a live
 #          bench_fig3 trace and validates it with obs_report --check
@@ -131,12 +133,13 @@ for stage in "${STAGES[@]}"; do
       if cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null \
           && cmake --build build-check \
               --target bench_msg_path bench_parallel_rekey bench_ablation_rekey \
-              -j "$JOBS" \
+                       bench_ablation_cipher -j "$JOBS" \
           && ./build-check/bench/bench_msg_path --baseline BENCH_msgpath.json > /dev/null \
           && ./build-check/bench/bench_parallel_rekey \
               --baseline BENCH_rekey.json > /dev/null \
           && ./build-check/bench/bench_ablation_rekey \
-              --baseline BENCH_rekey_ablation.json > /dev/null; then
+              --baseline BENCH_rekey_ablation.json > /dev/null \
+          && ./build-check/bench/bench_ablation_cipher > /dev/null; then
         echo "==== stage bench: OK ===="
       else
         echo "==== stage bench: FAILED ===="
